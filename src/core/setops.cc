@@ -12,9 +12,7 @@ namespace core {
 
 using reformulation::SourceQuery;
 using reformulation::TargetQueryInfo;
-using relational::HashRow;
 using relational::Row;
-using relational::RowsEqual;
 
 const char* SetOpName(SetOpKind kind) {
   switch (kind) {
@@ -51,33 +49,39 @@ Result<std::vector<Row>> SideRows(
   return reformulation::AssembleRows(*rel.ValueOrDie(), sq.layout);
 }
 
-/// Applies the set operation (both sides are already duplicate-free).
-std::vector<Row> Apply(SetOpKind kind, const std::vector<Row>& a,
-                       const std::vector<Row>& b) {
-  auto contains = [](const std::vector<Row>& rows, const Row& r) {
-    for (const auto& row : rows) {
-      if (RowsEqual(row, r)) return true;
-    }
-    return false;
+/// Positions in `rows` of the set operation's result. `rows` holds the
+/// left side's rows, then from `split` on the right side's (each side
+/// duplicate-free); left rows come first, each side in its own order.
+/// One side's positions form a hash set that the other side's rows
+/// probe by their own positions.
+std::vector<size_t> Apply(SetOpKind kind, const std::vector<Row>& rows,
+                          size_t split) {
+  auto index = [&rows](size_t begin, size_t end) {
+    std::unordered_set<size_t, relational::RowRefHash, relational::RowRefEq>
+        set(end - begin, relational::RowRefHash{&rows},
+            relational::RowRefEq{&rows});
+    for (size_t i = begin; i < end; ++i) set.insert(i);
+    return set;
   };
-  std::vector<Row> out;
+  std::vector<size_t> out;
   switch (kind) {
-    case SetOpKind::kUnion:
-      out = a;
-      for (const auto& r : b) {
-        if (!contains(a, r)) out.push_back(r);
+    case SetOpKind::kUnion: {
+      auto left = index(0, split);
+      for (size_t i = 0; i < split; ++i) out.push_back(i);
+      for (size_t i = split; i < rows.size(); ++i) {
+        if (left.count(i) == 0) out.push_back(i);
       }
       return out;
+    }
     case SetOpKind::kIntersect:
-      for (const auto& r : a) {
-        if (contains(b, r)) out.push_back(r);
+    case SetOpKind::kExcept: {
+      auto right = index(split, rows.size());
+      const bool keep_shared = kind == SetOpKind::kIntersect;
+      for (size_t i = 0; i < split; ++i) {
+        if ((right.count(i) != 0) == keep_shared) out.push_back(i);
       }
       return out;
-    case SetOpKind::kExcept:
-      for (const auto& r : a) {
-        if (!contains(b, r)) out.push_back(r);
-      }
-      return out;
+    }
   }
   return out;
 }
@@ -125,13 +129,15 @@ Result<baselines::MethodResult> EvaluateSetOp(
                       &result.stats);
     if (!b.ok()) return b.status();
     result.source_queries += 2;
-    std::vector<Row> rows =
-        Apply(kind, a.ValueOrDie(), b.ValueOrDie());
-    if (rows.empty()) {
+    std::vector<Row> rows = std::move(a).ValueOrDie();
+    const size_t split = rows.size();
+    for (Row& r : b.ValueOrDie()) rows.push_back(std::move(r));
+    std::vector<size_t> picked = Apply(kind, rows, split);
+    if (picked.empty()) {
       result.answers.AddNull(p.probability);
     } else {
-      for (const auto& r : rows) {
-        result.answers.Add(r, p.probability);
+      for (size_t i : picked) {
+        result.answers.Add(std::move(rows[i]), p.probability);
       }
     }
   }

@@ -29,6 +29,18 @@ class AccumulatingVisitor : public LeafVisitor {
     return true;
   }
 
+  bool OnLeafOwned(std::vector<relational::Row>&& rows,
+                   double probability) override {
+    if (rows.empty()) {
+      answers_->AddNull(probability);
+      return true;
+    }
+    for (auto& row : rows) {
+      answers_->Add(std::move(row), probability);
+    }
+    return true;
+  }
+
  private:
   reformulation::AnswerSet* answers_;
 };

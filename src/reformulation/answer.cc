@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace urm {
@@ -13,19 +15,92 @@ using relational::Row;
 using relational::RowLess;
 using relational::RowsEqual;
 
-void AnswerSet::Add(const Row& row, double prob) {
-  size_t h = HashRow(row);
-  auto it = index_.find(h);
-  if (it != index_.end()) {
-    for (size_t idx : it->second) {
-      if (RowsEqual(tuples_[idx].values, row)) {
-        tuples_[idx].probability += prob;
-        return;
-      }
-    }
+namespace {
+
+/// Home slot of `hash` in a table of `mask` + 1 slots: the high half of
+/// a Fibonacci-hashing product, so all bits of the row hash count.
+size_t HomeSlot(size_t hash, size_t mask) {
+  return static_cast<size_t>(
+             (static_cast<uint64_t>(hash) * 0x9e3779b97f4a7c15ULL) >> 32) &
+         mask;
+}
+
+}  // namespace
+
+template <typename Equal>
+size_t AnswerSet::Find(size_t hash, const Equal& equal) const {
+  if (slots_.empty()) return tuples_.size();
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = HomeSlot(hash, mask);; i = (i + 1) & mask) {
+    uint32_t slot = slots_[i];
+    if (slot == 0) return tuples_.size();
+    size_t pos = slot - 1;
+    if (meta_[pos].hash == hash && equal(tuples_[pos].values)) return pos;
   }
-  index_[h].push_back(tuples_.size());
-  tuples_.push_back(AnswerTuple{row, prob});
+}
+
+void AnswerSet::Insert(size_t hash, Row values, double prob) {
+  URM_CHECK(tuples_.size() < UINT32_MAX) << "answer set too large";
+  tuples_.push_back(AnswerTuple{std::move(values), prob});
+  meta_.push_back(TupleMeta{hash, stamp_});
+  auto place = [this](size_t pos) {
+    const size_t mask = slots_.size() - 1;
+    size_t i = HomeSlot(meta_[pos].hash, mask);
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = static_cast<uint32_t>(pos + 1);
+  };
+  if (tuples_.size() * 2 <= slots_.size()) {
+    place(tuples_.size() - 1);
+    return;
+  }
+  // Double the table (at least 16 slots) and re-place every tuple.
+  slots_.assign(std::max<size_t>(16, slots_.size() * 2), 0);
+  for (size_t pos = 0; pos < tuples_.size(); ++pos) place(pos);
+}
+
+template <typename RowRef>
+void AnswerSet::Accumulate(RowRef&& row, double prob) {
+  size_t hash = HashRow(row);
+  size_t pos =
+      Find(hash, [&row](const Row& values) { return RowsEqual(values, row); });
+  if (pos < tuples_.size()) {
+    tuples_[pos].probability += prob;
+  } else {
+    Insert(hash, std::forward<RowRef>(row), prob);
+  }
+}
+
+void AnswerSet::Add(const Row& row, double prob) { Accumulate(row, prob); }
+
+void AnswerSet::Add(Row&& row, double prob) {
+  Accumulate(std::move(row), prob);
+}
+
+void AnswerSet::AddPartition(const relational::Relation& result,
+                             const std::vector<int>& columns, double prob) {
+  // The stamp marks the tuples this partition has already counted, so a
+  // repeated answer row adds nothing (set semantics per partition).
+  ++stamp_;
+  for (const Row& row : result.rows()) {
+    size_t hash = relational::HashProjectedRow(row, columns);
+    size_t pos = Find(hash, [&](const Row& values) {
+      return relational::ProjectedRowEquals(values, row, columns);
+    });
+    if (pos < tuples_.size()) {
+      if (meta_[pos].stamp != stamp_) {
+        meta_[pos].stamp = stamp_;
+        tuples_[pos].probability += prob;
+      }
+      continue;
+    }
+    Row values;
+    values.reserve(columns.size());
+    for (int c : columns) {
+      values.push_back(c < 0 ? relational::Value::Null()
+                             : row[static_cast<size_t>(c)]);
+    }
+    Insert(hash, std::move(values), prob);
+  }
 }
 
 double AnswerSet::TotalProbability() const {
@@ -65,17 +140,18 @@ bool AnswerSet::ApproxEquals(const AnswerSet& other, double eps) const {
     return false;
   }
   if (tuples_.size() != other.tuples_.size()) return false;
-  std::vector<AnswerTuple> a = Sorted(), b = other.Sorted();
-  // Sort by row (total order) to align tuples regardless of probability
-  // ties.
-  auto by_row = [](const AnswerTuple& x, const AnswerTuple& y) {
-    return RowLess(x.values, y.values);
-  };
-  std::sort(a.begin(), a.end(), by_row);
-  std::sort(b.begin(), b.end(), by_row);
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!RowsEqual(a[i].values, b[i].values)) return false;
-    if (std::fabs(a[i].probability - b[i].probability) > eps) return false;
+  // Neither set holds two equal tuples, so equal sizes plus a partner
+  // for every tuple here make a one-to-one match. A NaN row finds none.
+  for (size_t pos = 0; pos < tuples_.size(); ++pos) {
+    const Row& row = tuples_[pos].values;
+    size_t match = other.Find(meta_[pos].hash, [&row](const Row& values) {
+      return RowsEqual(values, row);
+    });
+    if (match == other.tuples_.size()) return false;
+    if (std::fabs(tuples_[pos].probability -
+                  other.tuples_[match].probability) > eps) {
+      return false;
+    }
   }
   return true;
 }

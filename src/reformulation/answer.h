@@ -1,7 +1,7 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "relational/relation.h"
@@ -26,6 +26,11 @@ struct AnswerTuple {
 /// Rows are compared by value (Value::operator==); answers are keyed on
 /// the target-level output layout, so rows produced through different
 /// mappings (different source attributes) merge when their values agree.
+/// A row holding NaN equals nothing, so it never merges. Every method,
+/// top-k, threshold, set ops and the sharded merge accumulate through
+/// this one class: tuples keep their first-insertion order and each
+/// tuple's probability is summed in call order, so the same sequence of
+/// calls yields the same bits.
 class AnswerSet {
  public:
   AnswerSet() = default;
@@ -39,6 +44,18 @@ class AnswerSet {
   /// Accumulates `prob` onto the tuple equal to `row` (inserting it if
   /// new).
   void Add(const relational::Row& row, double prob);
+  /// As above; `row` is moved in only when it starts a new tuple.
+  void Add(relational::Row&& row, double prob);
+
+  /// Accumulates one mapping partition's materialized `result`. The
+  /// answer row of a result row holds its values at `columns`, NULL
+  /// where an entry is negative. Each distinct answer row accumulates
+  /// `prob` once, however many result rows produce it (set semantics
+  /// within a partition); new tuples append in first-occurrence order.
+  /// Result rows are hashed and compared through `columns` in place, so
+  /// a row is copied only when it starts a new tuple.
+  void AddPartition(const relational::Relation& result,
+                    const std::vector<int>& columns, double prob);
 
   /// Accumulates onto the θ (empty result) outcome.
   void AddNull(double prob) { null_probability_ += prob; }
@@ -73,9 +90,31 @@ class AnswerSet {
   std::string ToString(size_t max_rows = 20) const;
 
  private:
+  /// Index data of one tuple, parallel to tuples_.
+  struct TupleMeta {
+    size_t hash = 0;     ///< HashRow(values), reused on probe and growth
+    uint64_t stamp = 0;  ///< the last AddPartition call that counted it
+  };
+
+  /// Position of the tuple whose hash is `hash` and whose values satisfy
+  /// `equal`, or tuples_.size() when there is none.
+  template <typename Equal>
+  size_t Find(size_t hash, const Equal& equal) const;
+  /// Appends `values`, which equal no tuple yet, as a new tuple hashed
+  /// `hash`, doubling the table when it would pass half full.
+  void Insert(size_t hash, relational::Row values, double prob);
+  /// Accumulates onto the tuple equal to `row`, or inserts it.
+  template <typename RowRef>
+  void Accumulate(RowRef&& row, double prob);
+
   std::vector<std::string> column_names_;
   std::vector<AnswerTuple> tuples_;
-  std::unordered_map<size_t, std::vector<size_t>> index_;  // hash -> idx
+  std::vector<TupleMeta> meta_;
+  /// Open-addressing hash table (linear probing) of tuple positions
+  /// plus one; 0 marks an empty slot. Its size is zero or a power of
+  /// two, at least twice the tuple count.
+  std::vector<uint32_t> slots_;
+  uint64_t stamp_ = 0;  ///< AddPartition calls so far
   double null_probability_ = 0.0;
 };
 

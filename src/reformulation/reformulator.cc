@@ -192,47 +192,52 @@ Result<SourceQuery> Reformulator::Reformulate(
   return out;
 }
 
-Result<std::vector<relational::Row>> AssembleRows(
+namespace {
+
+/// The position in `result` of each layout column, -1 where unmapped.
+Result<std::vector<int>> LayoutColumns(
     const relational::Relation& result,
     const std::vector<std::optional<std::string>>& layout) {
-  std::vector<int> indices;
-  indices.reserve(layout.size());
+  std::vector<int> columns;
+  columns.reserve(layout.size());
   for (const auto& col : layout) {
     if (!col.has_value()) {
-      indices.push_back(-1);
+      columns.push_back(-1);
       continue;
     }
     auto idx = result.schema().IndexOf(*col);
     if (!idx.has_value()) {
       return Status::NotFound("layout column missing from result: " + *col);
     }
-    indices.push_back(static_cast<int>(*idx));
+    columns.push_back(static_cast<int>(*idx));
   }
+  return columns;
+}
+
+}  // namespace
+
+Result<std::vector<relational::Row>> AssembleRows(
+    const relational::Relation& result,
+    const std::vector<std::optional<std::string>>& layout) {
+  auto layout_columns = LayoutColumns(result, layout);
+  if (!layout_columns.ok()) return layout_columns.status();
+  const std::vector<int>& columns = layout_columns.ValueOrDie();
 
   // Set semantics within one partition: each distinct assembled row
-  // appears once.
-  std::unordered_set<size_t> seen_hashes;
+  // appears once. Each row is appended, then dropped again if the set
+  // already holds an equal one.
   std::vector<relational::Row> rows;
+  std::unordered_set<size_t, relational::RowRefHash, relational::RowRefEq>
+      seen(16, relational::RowRefHash{&rows}, relational::RowRefEq{&rows});
   for (const relational::Row& row : result.rows()) {
     relational::Row assembled;
-    assembled.reserve(indices.size());
-    for (int idx : indices) {
+    assembled.reserve(columns.size());
+    for (int idx : columns) {
       assembled.push_back(idx < 0 ? relational::Value::Null()
                                   : row[static_cast<size_t>(idx)]);
     }
-    size_t h = relational::HashRow(assembled);
-    bool duplicate = false;
-    if (!seen_hashes.insert(h).second) {
-      for (const auto& prev : rows) {
-        if (relational::RowsEqual(prev, assembled)) {
-          duplicate = true;
-          break;
-        }
-      }
-    }
-    if (!duplicate) {
-      rows.push_back(std::move(assembled));
-    }
+    rows.push_back(std::move(assembled));
+    if (!seen.insert(rows.size() - 1).second) rows.pop_back();
   }
   return rows;
 }
@@ -245,11 +250,9 @@ Status AssembleAnswers(const relational::Relation& result,
     answers->AddNull(probability);
     return Status::OK();
   }
-  auto rows = AssembleRows(result, layout);
-  if (!rows.ok()) return rows.status();
-  for (const auto& row : rows.ValueOrDie()) {
-    answers->Add(row, probability);
-  }
+  auto columns = LayoutColumns(result, layout);
+  if (!columns.ok()) return columns.status();
+  answers->AddPartition(result, columns.ValueOrDie(), probability);
   return Status::OK();
 }
 

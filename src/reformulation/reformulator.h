@@ -68,8 +68,9 @@ Result<std::vector<relational::Row>> AssembleRows(
     const std::vector<std::optional<std::string>>& layout);
 
 /// Converts a materialized source result into target-level answers:
-/// AssembleRows, then each distinct row accumulates `probability` in
-/// `answers`. An empty result contributes the θ outcome instead.
+/// each distinct row AssembleRows would return accumulates `probability`
+/// in `answers`, through AnswerSet::AddPartition. An empty result
+/// contributes the θ outcome instead.
 Status AssembleAnswers(const relational::Relation& result,
                        const std::vector<std::optional<std::string>>& layout,
                        double probability, AnswerSet* answers);

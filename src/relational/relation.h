@@ -162,6 +162,30 @@ size_t HashRow(const Row& row);
 /// Row equality via Value::operator==.
 bool RowsEqual(const Row& a, const Row& b);
 
+/// HashRow of the row whose i-th value is row[columns[i]], or NULL where
+/// columns[i] is negative: a projected row's hash, without building it.
+size_t HashProjectedRow(const Row& row, const std::vector<int>& columns);
+
+/// RowsEqual(projected, <row projected through columns>), without
+/// building the projection (same NULL rule as HashProjectedRow).
+bool ProjectedRowEquals(const Row& projected, const Row& row,
+                        const std::vector<int>& columns);
+
+/// Hash and equality of rows named by their position in `*rows`: the
+/// functors of an unordered_set<size_t> of positions, which keeps
+/// working while `*rows` grows (first-occurrence dedup, membership).
+struct RowRefHash {
+  const std::vector<Row>* rows;
+  size_t operator()(size_t i) const { return HashRow((*rows)[i]); }
+};
+
+struct RowRefEq {
+  const std::vector<Row>* rows;
+  bool operator()(size_t a, size_t b) const {
+    return RowsEqual((*rows)[a], (*rows)[b]);
+  }
+};
+
 /// Deterministic total order over rows (for stable output).
 bool RowLess(const Row& a, const Row& b);
 

@@ -1,21 +1,21 @@
 #include "topk/threshold.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/timer.h"
 #include "qsharing/qsharing.h"
+#include "reformulation/answer.h"
 
 namespace urm {
 namespace topk {
 
 using baselines::WeightedMapping;
-using relational::HashRow;
 using relational::Row;
-using relational::RowsEqual;
 
 namespace {
 
+/// Lower bounds (the mass seen so far, accumulated in an AnswerSet),
+/// the unexplored mass, and the confirm / prune stopping rule.
 class ThresholdSink : public osharing::LeafVisitor {
  public:
   ThresholdSink(double threshold, double total_mass)
@@ -23,7 +23,7 @@ class ThresholdSink : public osharing::LeafVisitor {
 
   bool OnLeaf(const std::vector<Row>& rows, double probability) override {
     for (const Row& row : rows) {
-      AddMass(row, probability);
+      seen_.Add(row, probability);
     }
     remaining_ -= probability;
     if (remaining_ < 0.0) remaining_ = 0.0;
@@ -43,9 +43,9 @@ class ThresholdSink : public osharing::LeafVisitor {
     // New tuples could still qualify.
     if (remaining_ + kEps >= threshold_) return false;
     // Seen tuples that are neither confirmed nor pruned keep us going.
-    for (const auto& e : entries_) {
-      bool confirmed = e.lb + kEps >= threshold_;
-      bool pruned = e.lb + remaining_ + kEps < threshold_;
+    for (const auto& e : seen_.tuples()) {
+      bool confirmed = e.probability + kEps >= threshold_;
+      bool pruned = e.probability + remaining_ + kEps < threshold_;
       if (!confirmed && !pruned) return false;
     }
     return true;
@@ -55,9 +55,10 @@ class ThresholdSink : public osharing::LeafVisitor {
 
   std::vector<ThresholdEntry> Extract() const {
     std::vector<ThresholdEntry> out;
-    for (const auto& e : entries_) {
-      if (e.lb + kEps >= threshold_) {
-        out.push_back(ThresholdEntry{e.values, e.lb, e.lb + remaining_});
+    for (const auto& e : seen_.tuples()) {
+      if (e.probability + kEps >= threshold_) {
+        out.push_back(ThresholdEntry{e.values, e.probability,
+                                     e.probability + remaining_});
       }
     }
     std::sort(out.begin(), out.end(),
@@ -71,33 +72,12 @@ class ThresholdSink : public osharing::LeafVisitor {
   }
 
  private:
-  struct Entry {
-    Row values;
-    double lb = 0.0;
-  };
-
   static constexpr double kEps = 1e-12;
-
-  void AddMass(const Row& row, double probability) {
-    size_t h = HashRow(row);
-    auto it = index_.find(h);
-    if (it != index_.end()) {
-      for (size_t idx : it->second) {
-        if (RowsEqual(entries_[idx].values, row)) {
-          entries_[idx].lb += probability;
-          return;
-        }
-      }
-    }
-    index_[h].push_back(entries_.size());
-    entries_.push_back(Entry{row, probability});
-  }
 
   double threshold_;
   double remaining_;
   bool stopped_early_ = false;
-  std::vector<Entry> entries_;
-  std::unordered_map<size_t, std::vector<size_t>> index_;
+  reformulation::AnswerSet seen_;  ///< probability = lower bound
 };
 
 }  // namespace

@@ -1,30 +1,30 @@
 #include "topk/topk.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/timer.h"
 #include "qsharing/qsharing.h"
+#include "reformulation/answer.h"
 
 namespace urm {
 namespace topk {
 
 using baselines::WeightedMapping;
-using relational::HashRow;
+using reformulation::AnswerTuple;
 using relational::Row;
-using relational::RowsEqual;
 
 namespace {
 
-/// Implements decide_result: maintains tuple lower bounds, the
-/// unexplored mass, and the stopping rule.
+/// Implements decide_result: maintains tuple lower bounds (the mass
+/// seen so far, accumulated in an AnswerSet), the unexplored mass, and
+/// the stopping rule.
 class TopKSink : public osharing::LeafVisitor {
  public:
   TopKSink(size_t k, double total_mass) : k_(k), remaining_(total_mass) {}
 
   bool OnLeaf(const std::vector<Row>& rows, double probability) override {
     for (const Row& row : rows) {
-      AddMass(row, probability);
+      seen_.Add(row, probability);
     }
     remaining_ -= probability;
     if (remaining_ < 0.0) remaining_ = 0.0;
@@ -45,15 +45,16 @@ class TopKSink : public osharing::LeafVisitor {
   }
 
   bool CanStop() const {
-    if (entries_.size() < k_) {
+    const std::vector<AnswerTuple>& entries = seen_.tuples();
+    if (entries.size() < k_) {
       // With fewer candidates than k every unseen tuple would belong to
       // the answer, so only an exhausted u-trace lets us stop.
       return remaining_ <= kEps;
     }
     // Select the k-th and (k+1)-th largest lower bounds in O(n).
     std::vector<double> lbs;
-    lbs.reserve(entries_.size());
-    for (const auto& e : entries_) lbs.push_back(e.lb);
+    lbs.reserve(entries.size());
+    for (const auto& e : entries) lbs.push_back(e.probability);
     std::nth_element(lbs.begin(), lbs.begin() + static_cast<long>(k_ - 1),
                      lbs.end(), std::greater<double>());
     double kth = lbs[k_ - 1];
@@ -61,7 +62,7 @@ class TopKSink : public osharing::LeafVisitor {
     if (remaining_ > kth + kEps) return false;
     // 2) no tuple outside the selected k (including ties with the k-th)
     //    can end above the k-th selected tuple's guaranteed mass.
-    if (entries_.size() > k_) {
+    if (entries.size() > k_) {
       double next = *std::max_element(lbs.begin() + static_cast<long>(k_),
                                       lbs.end());
       if (next + remaining_ > kth + kEps) return false;
@@ -72,55 +73,37 @@ class TopKSink : public osharing::LeafVisitor {
   std::vector<TopKEntry> Extract() const {
     // Only k rows are materialized; candidate ordering runs on indexes
     // (answer sets can be large, row copies are not).
-    std::vector<size_t> order(entries_.size());
+    const std::vector<AnswerTuple>& entries = seen_.tuples();
+    std::vector<size_t> order(entries.size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
     size_t take = std::min(k_, order.size());
     std::partial_sort(order.begin(),
                       order.begin() + static_cast<long>(take), order.end(),
-                      [this](size_t a, size_t b) {
-                        if (entries_[a].lb != entries_[b].lb) {
-                          return entries_[a].lb > entries_[b].lb;
+                      [&entries](size_t a, size_t b) {
+                        if (entries[a].probability != entries[b].probability) {
+                          return entries[a].probability >
+                                 entries[b].probability;
                         }
-                        return relational::RowLess(entries_[a].values,
-                                                   entries_[b].values);
+                        return relational::RowLess(entries[a].values,
+                                                   entries[b].values);
                       });
     std::vector<TopKEntry> out;
     out.reserve(take);
     for (size_t i = 0; i < take; ++i) {
-      const Entry& e = entries_[order[i]];
-      out.push_back(TopKEntry{e.values, e.lb, e.lb + remaining_});
+      const AnswerTuple& e = entries[order[i]];
+      out.push_back(
+          TopKEntry{e.values, e.probability, e.probability + remaining_});
     }
     return out;
   }
 
  private:
-  struct Entry {
-    Row values;
-    double lb = 0.0;
-  };
-
   static constexpr double kEps = 1e-12;
-
-  void AddMass(const Row& row, double probability) {
-    size_t h = HashRow(row);
-    auto it = index_.find(h);
-    if (it != index_.end()) {
-      for (size_t idx : it->second) {
-        if (RowsEqual(entries_[idx].values, row)) {
-          entries_[idx].lb += probability;
-          return;
-        }
-      }
-    }
-    index_[h].push_back(entries_.size());
-    entries_.push_back(Entry{row, probability});
-  }
 
   size_t k_;
   double remaining_;
   bool stopped_early_ = false;
-  std::vector<Entry> entries_;
-  std::unordered_map<size_t, std::vector<size_t>> index_;
+  reformulation::AnswerSet seen_;  ///< probability = lower bound
 };
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "algebra/evaluate.h"
+#include "common/random.h"
 #include "algebra/plan.h"
 #include "reformulation/answer.h"
 #include "reformulation/reformulator.h"
@@ -249,6 +254,277 @@ TEST(AssembleAnswersTest, EmptyResultBecomesTheta) {
                   .ok());
   EXPECT_EQ(answers.size(), 0u);
   EXPECT_NEAR(answers.null_probability(), 0.3, 1e-12);
+}
+
+/// A relation with `arity` columns r.c0, r.c1, ... holding `rows`.
+relational::Relation MakeRelation(const std::vector<relational::Row>& rows,
+                                  size_t arity) {
+  relational::RelationSchema schema;
+  for (size_t c = 0; c < arity; ++c) {
+    EXPECT_TRUE(schema
+                    .AddColumn({"r.c" + std::to_string(c),
+                                relational::ValueType::kString})
+                    .ok());
+  }
+  relational::Relation rel(schema);
+  for (const auto& row : rows) EXPECT_TRUE(rel.AddRow(row).ok());
+  return rel;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(AnswerSetTest, PartitionCountsARepeatedRowOnce) {
+  using relational::Value;
+  AnswerSet answers({"x"});
+  answers.AddPartition(MakeRelation({{"a"}, {"b"}, {"a"}, {"a"}}, 1), {0},
+                       0.25);
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_EQ(answers.tuples()[0].probability, 0.25);
+  EXPECT_EQ(answers.tuples()[1].probability, 0.25);
+  // Across partitions the same row accumulates once per partition.
+  answers.AddPartition(MakeRelation({{"c"}, {"a"}, {"a"}}, 1), {0}, 0.5);
+  ASSERT_EQ(answers.size(), 3u);
+  EXPECT_EQ(answers.tuples()[0].values[0].ToString(), "a");
+  EXPECT_EQ(answers.tuples()[0].probability, 0.75);
+  EXPECT_EQ(answers.tuples()[2].values[0].ToString(), "c");
+  EXPECT_EQ(answers.tuples()[2].probability, 0.5);
+  // A plain Add is not a partition: it always accumulates.
+  answers.Add({Value("a")}, 0.125);
+  answers.Add({Value("a")}, 0.125);
+  EXPECT_EQ(answers.tuples()[0].probability, 1.0);
+}
+
+TEST(AnswerSetTest, PartitionProjectsThroughColumns) {
+  using relational::Value;
+  // Column 1 is dropped; a negative entry yields NULL.
+  AnswerSet answers({"n", "y", "x"});
+  answers.AddPartition(
+      MakeRelation({{"a", "p", "u"}, {"a", "q", "u"}, {"b", "p", "u"}}, 3),
+      {-1, 2, 0}, 0.5);
+  ASSERT_EQ(answers.size(), 2u);
+  const auto& first = answers.tuples()[0].values;
+  ASSERT_EQ(first.size(), 3u);
+  EXPECT_TRUE(first[0].is_null());
+  EXPECT_EQ(first[1].ToString(), "u");
+  EXPECT_EQ(first[2].ToString(), "a");
+  // The same row added directly, NULL included, merges.
+  answers.Add({Value::Null(), Value("u"), Value("a")}, 0.25);
+  EXPECT_EQ(answers.size(), 2u);
+  EXPECT_EQ(answers.tuples()[0].probability, 0.75);
+  answers.Add({Value("x"), Value("u"), Value("a")}, 0.25);
+  EXPECT_EQ(answers.size(), 3u);
+}
+
+TEST(AnswerSetTest, IntAndDoubleMergeNaNNever) {
+  using relational::Value;
+  AnswerSet answers({"x"});
+  answers.Add({Value(2)}, 0.25);
+  answers.Add({Value(2.0)}, 0.25);
+  answers.AddPartition(MakeRelation({{Value(int64_t{2})}, {Value(2.0)}}, 1),
+                       {0}, 0.125);
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_EQ(answers.tuples()[0].probability, 0.625);
+
+  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  AnswerSet with_nan({"x"});
+  with_nan.Add({nan}, 0.25);
+  with_nan.Add({nan}, 0.25);
+  with_nan.AddPartition(MakeRelation({{nan}, {nan}}, 1), {0}, 0.25);
+  EXPECT_EQ(with_nan.size(), 4u);
+  // ApproxEquals: a NaN row has no partner, not even in a copy.
+  AnswerSet copy = with_nan;
+  EXPECT_FALSE(with_nan.ApproxEquals(copy));
+}
+
+TEST(AnswerSetTest, ApproxEqualsIgnoresOrderButNotMass) {
+  using relational::Value;
+  AnswerSet a({"x", "y"}), b({"x", "y"});
+  for (int i = 0; i < 100; ++i) a.Add({Value(i), Value("v")}, 0.01 * i);
+  for (int i = 99; i >= 0; --i) b.Add({Value(i * 1.0), Value("v")}, 0.01 * i);
+  EXPECT_TRUE(a.ApproxEquals(b));
+  EXPECT_TRUE(b.ApproxEquals(a));
+  AnswerSet c = b;
+  c.Add({Value(7), Value("v")}, 1e-6);
+  EXPECT_FALSE(a.ApproxEquals(c));
+  EXPECT_TRUE(a.ApproxEquals(c, 1e-5));
+  AnswerSet d = b;
+  d.AddNull(0.5);
+  EXPECT_FALSE(a.ApproxEquals(d));
+  AnswerSet e = a;
+  e.Add({Value(100), Value("v")}, 0.0);
+  EXPECT_FALSE(a.ApproxEquals(e));
+  EXPECT_FALSE(e.ApproxEquals(a));
+}
+
+TEST(AnswerSetTest, GrowsPastOneHundredThousandTuples) {
+  using relational::Value;
+  constexpr int kTuples = 150000;
+  AnswerSet answers({"x", "y"});
+  for (int i = 0; i < kTuples; ++i) {
+    answers.Add({Value(i), Value("s" + std::to_string(i % 97))}, 0.5);
+  }
+  ASSERT_EQ(answers.size(), static_cast<size_t>(kTuples));
+  for (int i = kTuples - 1; i >= 0; i -= 3) {
+    answers.Add({Value(i * 1.0), Value("s" + std::to_string(i % 97))}, 0.25);
+  }
+  ASSERT_EQ(answers.size(), static_cast<size_t>(kTuples));
+  for (int i = 0; i < kTuples; ++i) {
+    const auto& t = answers.tuples()[static_cast<size_t>(i)];
+    ASSERT_EQ(t.values[0].AsInt64(), i);
+    ASSERT_EQ(t.probability, (kTuples - 1 - i) % 3 == 0 ? 0.75 : 0.5) << i;
+  }
+}
+
+TEST(AnswerSetTest, CopiesAndMovesKeepAWorkingIndex) {
+  using relational::Value;
+  AnswerSet original({"x"});
+  for (int i = 0; i < 1000; ++i) original.Add({Value(i)}, 0.5);
+
+  AnswerSet copy = original;
+  copy.Add({Value(10)}, 0.25);
+  copy.Add({Value(5000)}, 0.25);
+  EXPECT_EQ(copy.size(), 1001u);
+  EXPECT_EQ(copy.tuples()[10].probability, 0.75);
+  EXPECT_EQ(original.size(), 1000u);
+  EXPECT_EQ(original.tuples()[10].probability, 0.5);
+
+  AnswerSet assigned({"x"});
+  assigned.Add({Value("other")}, 1.0);
+  assigned = original;
+  assigned.Add({Value(999)}, 0.25);
+  EXPECT_EQ(assigned.size(), 1000u);
+  EXPECT_EQ(assigned.tuples()[999].probability, 0.75);
+  EXPECT_EQ(original.tuples()[999].probability, 0.5);
+
+  AnswerSet moved = std::move(copy);
+  moved.Add({Value(5000)}, 0.25);
+  moved.Add({Value(20)}, 0.25);
+  EXPECT_EQ(moved.size(), 1001u);
+  EXPECT_EQ(moved.tuples()[1000].probability, 0.5);
+  EXPECT_EQ(moved.tuples()[20].probability, 0.75);
+  EXPECT_EQ(original.tuples()[20].probability, 0.5);
+}
+
+/// Seeded differential test against the definition: a linear-scan
+/// reference accumulator over RowsEqual, with per-partition dedup by
+/// first occurrence. Tuple order and probability bits must match.
+TEST(AnswerSetTest, MatchesLinearScanReference) {
+  using relational::Row;
+  using relational::Value;
+  struct Ref {
+    Row values;
+    double probability;
+  };
+  auto ref_add = [](std::vector<Ref>* ref, const Row& row, double p) {
+    for (auto& t : *ref) {
+      if (relational::RowsEqual(t.values, row)) {
+        t.probability += p;
+        return;
+      }
+    }
+    ref->push_back(Ref{row, p});
+  };
+  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    auto value = [&]() -> Value {
+      switch (rng.Uniform(0, 6)) {
+        case 0:
+          return Value::Null();
+        case 1:
+          return Value(rng.Uniform(0, 5));
+        case 2:
+          return Value(static_cast<double>(rng.Uniform(0, 5)));
+        case 3:
+          return Value(rng.Uniform(0, 5) + 0.5);
+        case 4:
+          return rng.Bernoulli(0.05) ? nan : Value(-0.0);
+        default:
+          return Value(std::string(1, "abcd"[rng.Uniform(0, 3)]));
+      }
+    };
+    const size_t arity = static_cast<size_t>(rng.Uniform(1, 3));
+    AnswerSet got({"x"});
+    std::vector<Ref> ref;
+    const int partitions = static_cast<int>(rng.Uniform(1, 40));
+    for (int part = 0; part < partitions; ++part) {
+      const double p = rng.NextDouble() * 0.1;
+      if (rng.Bernoulli(0.2)) {
+        // A plain Add between partitions (the o-sharing / merge path).
+        Row row;
+        for (size_t c = 0; c < arity; ++c) row.push_back(value());
+        got.Add(row, p);
+        ref_add(&ref, row, p);
+        continue;
+      }
+      // Source rows are one column wider than the answer; the layout
+      // picks a random subset (with repeats and NULLs), so projection
+      // itself creates duplicates.
+      std::vector<int> columns;
+      for (size_t c = 0; c < arity; ++c) {
+        columns.push_back(static_cast<int>(rng.Uniform(-1, arity)));
+      }
+      std::vector<Row> rows;
+      const int n = static_cast<int>(rng.Uniform(0, 60));
+      for (int i = 0; i < n; ++i) {
+        if (!rows.empty() && rng.Bernoulli(0.3)) {
+          rows.push_back(rows[static_cast<size_t>(
+              rng.Uniform(0, static_cast<int64_t>(rows.size()) - 1))]);
+          continue;
+        }
+        Row row;
+        for (size_t c = 0; c <= arity; ++c) row.push_back(value());
+        rows.push_back(std::move(row));
+      }
+      got.AddPartition(MakeRelation(rows, arity + 1), columns, p);
+      std::vector<Row> distinct;
+      for (const Row& row : rows) {
+        Row projected;
+        for (int c : columns) {
+          projected.push_back(c < 0 ? Value::Null()
+                                    : row[static_cast<size_t>(c)]);
+        }
+        bool seen = false;
+        for (const Row& d : distinct) {
+          if (relational::RowsEqual(d, projected)) seen = true;
+        }
+        if (!seen) distinct.push_back(std::move(projected));
+      }
+      for (const Row& d : distinct) ref_add(&ref, d, p);
+    }
+    ASSERT_EQ(got.size(), ref.size()) << "seed " << seed;
+    for (size_t i = 0; i < ref.size(); ++i) {
+      const auto& t = got.tuples()[i];
+      ASSERT_EQ(t.values.size(), ref[i].values.size());
+      for (size_t c = 0; c < t.values.size(); ++c) {
+        // Same cell, same type: the first inserted row is kept.
+        EXPECT_EQ(t.values[c].ToString(), ref[i].values[c].ToString())
+            << "seed " << seed << " tuple " << i;
+        EXPECT_EQ(t.values[c].type(), ref[i].values[c].type());
+      }
+      EXPECT_TRUE(SameBits(t.probability, ref[i].probability))
+          << "seed " << seed << " tuple " << i << ": " << t.probability
+          << " vs " << ref[i].probability;
+    }
+  }
+}
+
+TEST(AssembleRowsTest, DeduplicatesInFirstOccurrenceOrder) {
+  using relational::Value;
+  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  relational::Relation rel = MakeRelation(
+      {{"b", "1"}, {"a", "2"}, {"b", "3"}, {nan, "4"}, {"a", "5"}, {nan, "6"}},
+      2);
+  auto rows = AssembleRows(rel, {std::optional<std::string>("r.c0")});
+  ASSERT_TRUE(rows.ok());
+  const auto& got = rows.ValueOrDie();
+  ASSERT_EQ(got.size(), 4u);  // NaN rows never collapse
+  EXPECT_EQ(got[0][0].ToString(), "b");
+  EXPECT_EQ(got[1][0].ToString(), "a");
+  EXPECT_TRUE(std::isnan(got[2][0].AsDouble()));
+  EXPECT_TRUE(std::isnan(got[3][0].AsDouble()));
 }
 
 }  // namespace

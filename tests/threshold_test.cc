@@ -38,6 +38,14 @@ class ThresholdTest : public ::testing::Test {
     return MakeProject(p, {"person.phone"});
   }
 
+  /// π_addr σ_phone='123' Person -> (aaa,.5), (hk,.5).
+  PlanPtr Q0() {
+    PlanPtr p = MakeScan("Person", "person");
+    p = MakeSelect(p, Predicate::AttrCmpValue("person.phone", CmpOp::kEq,
+                                              "123"));
+    return MakeProject(p, {"person.addr"});
+  }
+
   testing::PaperExample ex_;
 };
 
@@ -101,6 +109,55 @@ TEST_F(ThresholdTest, ThetaOnlyQueryReturnsNothing) {
   auto result = RunThreshold(info, ex_.mappings, ex_.catalog, 0.3);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.ValueOrDie().tuples.empty());
+}
+
+/// Pins the traversal and the returned bounds, bit for bit: the leaves
+/// visited, where the scan stops and every (row, lower, upper) depend
+/// on the accumulation order of the lower bounds, which must not move.
+TEST_F(ThresholdTest, PinnedTraversalAndBounds) {
+  struct Expected {
+    std::string value;
+    double lower, upper;
+  };
+  struct Case {
+    bool q0;  // else Qa
+    double threshold;
+    size_t leaves;
+    std::vector<Expected> tuples;
+  };
+  const std::vector<Case> cases = {
+      {false, 0.9, 3, {}},
+      {false, 0.7, 3, {{"456", 0x1.999999999999ap-1, 0x1.999999999999ap-1}}},
+      {false,
+       0.5,
+       2,
+       {{"456", 0x1.999999999999ap-1, 0x1p+0},
+        {"123", 0x1p-1, 0x1.6666666666666p-1}}},
+      {false,
+       0.15,
+       3,
+       {{"456", 0x1.999999999999ap-1, 0x1.999999999999ap-1},
+        {"123", 0x1p-1, 0x1p-1},
+        {"789", 0x1.999999999999ap-3, 0x1.999999999999ap-3}}},
+      {true, 0.9, 2, {}},
+      {true, 0.7, 3, {}},
+      {true, 0.5, 3, {{"aaa", 0x1p-1, 0x1p-1}, {"hk", 0x1p-1, 0x1p-1}}},
+  };
+  for (const Case& c : cases) {
+    auto info = Analyze(c.q0 ? Q0() : Qa());
+    auto result = RunThreshold(info, ex_.mappings, ex_.catalog, c.threshold);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const ThresholdResult& r = result.ValueOrDie();
+    SCOPED_TRACE((c.q0 ? "q0 p=" : "qa p=") + std::to_string(c.threshold));
+    EXPECT_EQ(r.leaves_visited, c.leaves);
+    EXPECT_TRUE(r.early_terminated);
+    ASSERT_EQ(r.tuples.size(), c.tuples.size());
+    for (size_t i = 0; i < c.tuples.size(); ++i) {
+      EXPECT_EQ(r.tuples[i].values[0].ToString(), c.tuples[i].value);
+      EXPECT_EQ(r.tuples[i].lower_bound, c.tuples[i].lower);
+      EXPECT_EQ(r.tuples[i].upper_bound, c.tuples[i].upper);
+    }
+  }
 }
 
 }  // namespace

@@ -35,6 +35,14 @@ class TopKTest : public ::testing::Test {
     return MakeProject(p, {"person.phone"});
   }
 
+  /// π_addr σ_phone='123' Person -> (aaa,.5), (hk,.5).
+  PlanPtr Q0() {
+    PlanPtr p = MakeScan("Person", "person");
+    p = MakeSelect(p, Predicate::AttrCmpValue("person.phone", CmpOp::kEq,
+                                              "123"));
+    return MakeProject(p, {"person.addr"});
+  }
+
   urm::testing::PaperExample ex_;
 };
 
@@ -128,6 +136,53 @@ TEST_F(TopKTest, UnanswerableMassDiscountedUpfront) {
   ASSERT_EQ(result.ValueOrDie().tuples.size(), 1u);
   EXPECT_NEAR(result.ValueOrDie().tuples[0].lower_bound, 0.2, 1e-12);
   EXPECT_NEAR(result.ValueOrDie().tuples[0].upper_bound, 0.2, 1e-9);
+}
+
+/// Pins the traversal and the returned bounds, bit for bit: the leaves
+/// visited, where the scan stops and every (row, lower, upper) depend
+/// on the accumulation order of the lower bounds, which must not move.
+TEST_F(TopKTest, PinnedTraversalAndBounds) {
+  struct Expected {
+    std::string value;
+    double lower, upper;
+  };
+  struct Case {
+    bool q0;  // else Qa
+    size_t k;
+    size_t leaves;
+    std::vector<Expected> tuples;
+  };
+  const std::vector<Case> cases = {
+      {false, 1, 2, {{"456", 0x1.999999999999ap-1, 0x1p+0}}},
+      {false, 2, 1, {{"123", 0x1p-1, 0x1p+0}, {"456", 0x1p-1, 0x1p+0}}},
+      {false,
+       3,
+       3,
+       {{"456", 0x1.999999999999ap-1, 0x1.999999999999ap-1},
+        {"123", 0x1p-1, 0x1p-1},
+        {"789", 0x1.999999999999ap-3, 0x1.999999999999ap-3}}},
+      {true, 1, 1, {{"aaa", 0x1p-1, 0x1p+0}}},
+      {true,
+       2,
+       2,
+       {{"aaa", 0x1p-1, 0x1.6666666666666p-1},
+        {"hk", 0x1.3333333333334p-2, 0x1p-1}}},
+  };
+  for (const Case& c : cases) {
+    auto info = Analyze(c.q0 ? Q0() : Qa());
+    auto result = RunTopK(info, ex_.mappings, ex_.catalog, c.k);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const TopKResult& r = result.ValueOrDie();
+    SCOPED_TRACE((c.q0 ? "q0 k=" : "qa k=") + std::to_string(c.k));
+    EXPECT_EQ(r.leaves_visited, c.leaves);
+    EXPECT_TRUE(r.early_terminated);
+    ASSERT_EQ(r.tuples.size(), c.tuples.size());
+    for (size_t i = 0; i < c.tuples.size(); ++i) {
+      EXPECT_EQ(r.tuples[i].values[0].ToString(), c.tuples[i].value);
+      EXPECT_EQ(r.tuples[i].lower_bound, c.tuples[i].lower);
+      EXPECT_EQ(r.tuples[i].upper_bound, c.tuples[i].upper);
+    }
+  }
 }
 
 }  // namespace
