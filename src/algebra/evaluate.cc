@@ -1,6 +1,6 @@
 #include "algebra/evaluate.h"
 
-#include "algebra/optimize.h"
+#include "algebra/cover.h"
 #include "columnar/columnar_relation.h"
 #include "common/logging.h"
 
@@ -13,7 +13,6 @@ using relational::RelationPtr;
 using relational::RelationSchema;
 using relational::Row;
 using relational::Value;
-using relational::ValueType;
 
 namespace {
 
@@ -102,144 +101,18 @@ Result<RelationPtr> EvaluateSelect(const PlanNode& node, RelationPtr input,
   return std::make_shared<const Relation>(std::move(out));
 }
 
-/// Cardinality of a plan's result. Products are counted as the product
-/// of their sides' cardinalities without materializing rows; this keeps
-/// COUNT over Cartesian covers (the paper's Q10 shape) tractable.
-Result<double> CountRows(const PlanPtr& plan, const EvalContext& ctx) {
-  if (plan->kind == PlanKind::kProduct) {
-    auto left = CountRows(plan->child, ctx);
-    if (!left.ok()) return left.status();
-    auto right = CountRows(plan->right, ctx);
-    if (!right.ok()) return right.status();
-    return left.ValueOrDie() * right.ValueOrDie();
-  }
-  auto rel = Evaluate(plan, ctx);
-  if (!rel.ok()) return rel.status();
-  return static_cast<double>(rel.ValueOrDie()->num_rows());
-}
-
-struct ColumnSum {
-  double sum = 0.0;
-  bool all_int = true;
-};
-
-Result<ColumnSum> SumOverRelation(const RelationPtr& rel,
-                                  const std::string& attr) {
-  auto idx = rel->schema().IndexOf(attr);
-  if (!idx.has_value()) {
-    return Status::NotFound("SUM attribute not found: " + attr);
-  }
-  ColumnSum out;
-  for (const Row& row : rel->rows()) {
-    const Value& v = row[*idx];
-    // NULLs and non-numeric values contribute nothing: a mapping can
-    // plausibly (if wrongly) match a SUM attribute to a string column,
-    // and the query must still evaluate under every possible mapping.
-    if (v.is_null() || !v.is_numeric()) continue;
-    if (v.type() != ValueType::kInt64) out.all_int = false;
-    out.sum += v.NumericValue();
+/// Evaluates each factor of `plan` read as a Cartesian cover, once
+/// and through the e-MQO memo when one is set; the Products joining
+/// them are never built.
+Result<std::vector<RelationPtr>> EvaluateFactors(const PlanPtr& plan,
+                                                 const EvalContext& ctx) {
+  std::vector<RelationPtr> out;
+  for (const PlanPtr& factor : ProductFactors(plan)) {
+    auto rel = Evaluate(factor, ctx);
+    if (!rel.ok()) return rel.status();
+    out.push_back(std::move(rel).ValueOrDie());
   }
   return out;
-}
-
-/// SUM(attr) over a plan. For a Product, the side owning `attr` is
-/// summed and scaled by the other side's cardinality (exact under
-/// Cartesian semantics), avoiding materialization.
-Result<ColumnSum> SumColumn(const PlanPtr& plan, const std::string& attr,
-                            const EvalContext& ctx) {
-  if (plan->kind == PlanKind::kProduct) {
-    URM_CHECK(ctx.catalog != nullptr);
-    auto left_schema = StaticSchema(plan->child, *ctx.catalog);
-    if (!left_schema.ok()) return left_schema.status();
-    bool in_left = left_schema.ValueOrDie().IndexOf(attr).has_value();
-    const PlanPtr& owner = in_left ? plan->child : plan->right;
-    const PlanPtr& other = in_left ? plan->right : plan->child;
-    auto part = SumColumn(owner, attr, ctx);
-    if (!part.ok()) return part.status();
-    auto scale = CountRows(other, ctx);
-    if (!scale.ok()) return scale.status();
-    ColumnSum out = part.ValueOrDie();
-    out.sum *= scale.ValueOrDie();
-    return out;
-  }
-  auto rel = Evaluate(plan, ctx);
-  if (!rel.ok()) return rel.status();
-  return SumOverRelation(rel.ValueOrDie(), attr);
-}
-
-Result<RelationPtr> EvaluateAggregate(const PlanNode& node,
-                                      const EvalContext& ctx) {
-  Row out_row;
-  RelationSchema out_schema;
-  if (node.agg == AggKind::kCount) {
-    auto count = CountRows(node.child, ctx);
-    if (!count.ok()) return count.status();
-    URM_RETURN_NOT_OK(
-        out_schema.AddColumn(ColumnDef{"count", ValueType::kInt64}));
-    out_row.push_back(Value(static_cast<int64_t>(count.ValueOrDie())));
-  } else {
-    auto sum = SumColumn(node.child, node.agg_attr, ctx);
-    if (!sum.ok()) return sum.status();
-    const ColumnSum& s = sum.ValueOrDie();
-    URM_RETURN_NOT_OK(out_schema.AddColumn(ColumnDef{
-        "sum", s.all_int ? ValueType::kInt64 : ValueType::kDouble}));
-    if (s.all_int) {
-      out_row.push_back(Value(static_cast<int64_t>(s.sum)));
-    } else {
-      out_row.push_back(Value(s.sum));
-    }
-  }
-  Relation out(std::move(out_schema));
-  URM_CHECK_OK(out.AddRow(std::move(out_row)));
-  if (ctx.stats != nullptr) ctx.stats->tuples_produced += 1;
-  return std::make_shared<const Relation>(std::move(out));
-}
-
-/// Evaluates Distinct(Project(...)) by *splitting* the projection across
-/// Cartesian products: distinct(π(A × B)) = distinct(π_A(A)) ×
-/// distinct(π_B(B)) when every projected column comes from one side.
-/// A side contributing no projected columns reduces to an existence
-/// check (one zero-column row when non-empty). This keeps set-semantics
-/// answers over Cartesian covers small without changing their content.
-Result<RelationPtr> EvalDistinctProject(const std::vector<std::string>& attrs,
-                                        const PlanPtr& node,
-                                        const EvalContext& ctx) {
-  if (node->kind == PlanKind::kProduct && ctx.catalog != nullptr) {
-    auto left_schema = StaticSchema(node->child, *ctx.catalog);
-    if (left_schema.ok()) {
-      std::vector<std::string> left_attrs, right_attrs;
-      bool clean_split = true;
-      for (const auto& a : attrs) {
-        bool in_left = left_schema.ValueOrDie().IndexOf(a).has_value();
-        (in_left ? left_attrs : right_attrs).push_back(a);
-        if (!in_left) {
-          // Must be resolvable on the right; verified when evaluated.
-        }
-        (void)clean_split;
-      }
-      auto left = EvalDistinctProject(left_attrs, node->child, ctx);
-      if (!left.ok()) return left.status();
-      auto right = EvalDistinctProject(right_attrs, node->right, ctx);
-      if (!right.ok()) return right.status();
-      auto prod = left.ValueOrDie()->Product(*right.ValueOrDie());
-      if (!prod.ok()) return prod.status();
-      return std::make_shared<const Relation>(std::move(prod).ValueOrDie());
-    }
-  }
-  auto rel = Evaluate(node, ctx);
-  if (!rel.ok()) return rel.status();
-  if (attrs.empty()) {
-    // Existence reduction: zero columns, one row iff non-empty.
-    Relation out{RelationSchema{}};
-    if (!rel.ValueOrDie()->empty()) {
-      URM_CHECK_OK(out.AddRow(Row{}));
-    }
-    return std::make_shared<const Relation>(std::move(out));
-  }
-  auto projected = rel.ValueOrDie()->Project(attrs);
-  if (!projected.ok()) return projected.status();
-  return std::make_shared<const Relation>(
-      projected.ValueOrDie().Distinct());
 }
 
 // Equi-join of left and right on one column each (hash build on the
@@ -389,18 +262,32 @@ Result<RelationPtr> Evaluate(const PlanPtr& plan, const EvalContext& ctx) {
       break;
     }
     case PlanKind::kAggregate: {
-      result = EvaluateAggregate(*plan, ctx);
+      // COUNT and SUM see through bag projections, which keep both the
+      // row count and the summed column's values.
+      PlanPtr input = plan->child;
+      while (input->kind == PlanKind::kProject) input = input->child;
+      auto factors = EvaluateFactors(input, ctx);
+      if (!factors.ok()) return factors.status();
+      auto agg = AggregateCover(factors.ValueOrDie(), plan->agg,
+                                plan->agg_attr);
+      if (!agg.ok()) return agg.status();
+      if (ctx.stats != nullptr) ctx.stats->tuples_produced += 1;
+      result = std::make_shared<const Relation>(std::move(agg).ValueOrDie());
       break;
     }
     case PlanKind::kDistinct: {
       if (plan->child->kind == PlanKind::kProject) {
-        result = EvalDistinctProject(plan->child->attrs,
-                                     plan->child->child, ctx);
+        auto factors = EvaluateFactors(plan->child->child, ctx);
+        if (!factors.ok()) return factors.status();
+        std::vector<Row> rows;
+        auto schema = DistinctProjectCover(factors.ValueOrDie(),
+                                           plan->child->attrs, &rows);
+        if (!schema.ok()) return schema.status();
+        result = std::make_shared<const Relation>(
+            std::move(schema).ValueOrDie(), std::move(rows));
         // The split also executed the projection; account for it so the
         // operator counter matches the plan shape.
-        if (result.ok() && ctx.stats != nullptr) {
-          ctx.stats->operators_executed++;
-        }
+        if (ctx.stats != nullptr) ctx.stats->operators_executed++;
       } else {
         auto child = Evaluate(plan->child, ctx);
         if (!child.ok()) return child.status();

@@ -9,10 +9,12 @@
 #include "relational/catalog.h"
 
 /// \file evaluate.h
-/// Materializing recursive evaluator for algebra plans over a Catalog.
-/// Tracks operator/tuple statistics (used by the paper's Table IV) and
-/// optionally memoizes subexpression results by canonical form (used by
-/// the e-MQO baseline).
+/// Recursive evaluator for algebra plans over a Catalog. It materializes
+/// operators, except that COUNT / SUM and distinct projections over a
+/// Cartesian cover are answered from its factors (algebra/cover.h, as in
+/// o-sharing). Tracks operator/tuple statistics (used by the paper's
+/// Table IV) and optionally memoizes subexpression results by canonical
+/// form (used by the e-MQO baseline).
 
 namespace urm {
 namespace algebra {
@@ -81,11 +83,14 @@ struct EvalContext {
   const std::unordered_set<std::string>* cache_filter = nullptr;
 };
 
-/// Evaluates `plan` bottom-up, materializing every operator.
+/// Evaluates `plan` bottom-up.
 ///
 /// Scan leaves fetch from the catalog and are re-qualified to the scan
-/// alias; RelationLeaf nodes return their payload. With a cache present,
-/// every subplan is looked up / stored by canonical form.
+/// alias; RelationLeaf nodes return their payload. An Aggregate (seeing
+/// through bag Projects) or a Distinct over a Project evaluates the
+/// factors of the Products below it; those Products and the Projects
+/// seen through are neither built nor counted. With a cache present,
+/// every evaluated subplan is looked up / stored by canonical form.
 Result<relational::RelationPtr> Evaluate(const PlanPtr& plan,
                                          const EvalContext& ctx);
 

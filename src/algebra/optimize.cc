@@ -60,17 +60,6 @@ Result<RelationSchema> StaticSchema(const PlanPtr& plan,
 
 namespace {
 
-/// Splits nested Cartesian products into their independent factors
-/// (Select and other node kinds are barriers).
-void FlattenProducts(const PlanPtr& plan, std::vector<PlanPtr>* factors) {
-  if (plan->kind == PlanKind::kProduct) {
-    FlattenProducts(plan->child, factors);
-    FlattenProducts(plan->right, factors);
-    return;
-  }
-  factors->push_back(plan);
-}
-
 /// Left-deep product of `factors` (which must be non-empty).
 PlanPtr CombineFactors(const std::vector<PlanPtr>& factors) {
   URM_CHECK(!factors.empty());
@@ -99,8 +88,7 @@ Result<PlanPtr> PushPredicate(const Predicate& pred, const PlanPtr& plan,
     return MakeSelect(plan, pred);
   }
 
-  std::vector<PlanPtr> factors;
-  FlattenProducts(plan, &factors);
+  std::vector<PlanPtr> factors = ProductFactors(plan);
 
   // Locate the factor(s) holding the referenced attributes.
   const auto refs = pred.ReferencedAttributes();

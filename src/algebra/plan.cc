@@ -256,6 +256,13 @@ std::vector<const PlanNode*> CollectScans(const PlanPtr& plan) {
   return out;
 }
 
+std::vector<PlanPtr> ProductFactors(const PlanPtr& plan) {
+  if (plan->kind != PlanKind::kProduct) return {plan};
+  std::vector<PlanPtr> out = ProductFactors(plan->child);
+  for (PlanPtr& f : ProductFactors(plan->right)) out.push_back(std::move(f));
+  return out;
+}
+
 std::string Canonical(const PlanPtr& plan) {
   std::string out;
   CanonicalImpl(plan, &out);

@@ -105,6 +105,11 @@ std::vector<std::string> ReferencedAttributes(const PlanPtr& plan);
 /// All Scan leaves in left-to-right order.
 std::vector<const PlanNode*> CollectScans(const PlanPtr& plan);
 
+/// The factors of `plan` read as a Cartesian cover: nested Products
+/// flattened left to right, any other node one factor. Their product,
+/// taken in this order, has the rows of `plan` in the same order.
+std::vector<PlanPtr> ProductFactors(const PlanPtr& plan);
+
 /// Stable canonical serialization. Two plans with equal canonical
 /// strings are structurally identical queries; used to detect duplicate
 /// source queries (e-basic) and shared subexpressions (e-MQO).

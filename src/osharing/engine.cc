@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 
+#include "algebra/cover.h"
 #include "algebra/plan.h"
 #include "common/logging.h"
 #include "relational/schema.h"
@@ -21,7 +22,6 @@ using reformulation::kUnanswerableSignature;
 using reformulation::SignatureSlot;
 using relational::AttributePart;
 using relational::InstancePart;
-using relational::Relation;
 using relational::RelationPtr;
 using relational::Row;
 
@@ -752,75 +752,16 @@ Result<EUnit> OSharingEngine::Execute(const EUnit& u, const Candidate& op,
     }
 
     case Candidate::kTop: {
+      // A top only fixes the source columns it reads (SUM's may add its
+      // scan to the group); the leaf answers from the final factors.
       const TopOp& top = shape_.tops[op.index];
-      if (!top.is_aggregate) {
-        for (const auto& r : top.project_refs) {
-          auto col = ResolveRef(&next, r, rep);
-          if (!col.ok()) return col.status();
-        }
-        stats_.operators_executed++;  // the projection (assembly defers)
-      } else {
-        URM_CHECK_EQ(next.groups.size(), 1u);
-        Group& group = next.groups[0];
-        double count = 1.0;
-        for (const auto& f : group.factors) {
-          count *= static_cast<double>(f.rel->num_rows());
-        }
-        relational::RelationSchema schema;
-        Row row;
-        if (top.agg == algebra::AggKind::kCount) {
-          URM_CHECK_OK(schema.AddColumn(relational::ColumnDef{
-              "count", relational::ValueType::kInt64}));
-          row.push_back(
-              relational::Value(static_cast<int64_t>(count)));
-        } else {
-          auto col = ResolveRef(&next, top.agg_ref, rep);
-          if (!col.ok()) return col.status();
-          int fi = FactorOfColumn(group, col.ValueOrDie());
-          if (fi < 0) {
-            return Status::Internal("aggregate column missing");
-          }
-          const Factor& f = group.factors[static_cast<size_t>(fi)];
-          auto idx = f.rel->schema().IndexOf(col.ValueOrDie());
-          double sum = 0.0;
-          bool all_int = true;
-          for (const Row& r : f.rel->rows()) {
-            const relational::Value& v = r[*idx];
-            // Same tolerance as the evaluator: NULL / non-numeric cells
-            // contribute nothing (a mapping may match SUM's attribute
-            // to a string column).
-            if (v.is_null() || !v.is_numeric()) continue;
-            if (v.type() != relational::ValueType::kInt64) all_int = false;
-            sum += v.NumericValue();
-          }
-          double scale =
-              f.rel->num_rows() > 0
-                  ? count / static_cast<double>(f.rel->num_rows())
-                  : 0.0;
-          sum *= scale;
-          if (all_int) {
-            URM_CHECK_OK(schema.AddColumn(relational::ColumnDef{
-                "sum", relational::ValueType::kInt64}));
-            row.push_back(relational::Value(static_cast<int64_t>(sum)));
-          } else {
-            URM_CHECK_OK(schema.AddColumn(relational::ColumnDef{
-                "sum", relational::ValueType::kDouble}));
-            row.push_back(relational::Value(sum));
-          }
-        }
-        Relation result(schema);
-        URM_CHECK_OK(result.AddRow(std::move(row)));
-        Factor agg_factor;
-        agg_factor.rel = std::make_shared<const Relation>(std::move(result));
-        for (const auto& f : group.factors) {
-          agg_factor.scan_aliases.insert(agg_factor.scan_aliases.end(),
-                                         f.scan_aliases.begin(),
-                                         f.scan_aliases.end());
-        }
-        group.factors = {std::move(agg_factor)};
-        next.aggregated = true;
-        stats_.operators_executed++;  // the aggregate
+      std::vector<std::string> refs = top.project_refs;
+      if (!top.agg_ref.empty()) refs.push_back(top.agg_ref);
+      for (const auto& r : refs) {
+        auto col = ResolveRef(&next, r, rep);
+        if (!col.ok()) return col.status();
       }
+      stats_.operators_executed++;  // the projection or aggregate
       next.next_top++;
       return next;
     }
@@ -830,59 +771,36 @@ Result<EUnit> OSharingEngine::Execute(const EUnit& u, const Candidate& op,
 
 Result<std::vector<Row>> OSharingEngine::AssembleLeafRows(const EUnit& u) {
   URM_CHECK_EQ(u.groups.size(), 1u);
-  const Group& group = u.groups[0];
-  if (u.aggregated) {
-    URM_CHECK_EQ(group.factors.size(), 1u);
-    return group.factors[0].rel->rows();
-  }
-
-  // Resolve output columns; project each factor to its share, distinct,
-  // then combine (distinct(π(A×B)) = distinct(π_A(A)) × distinct(π_B(B))).
-  std::vector<std::string> out_cols;
-  for (const auto& ref : info_.output_refs) {
+  auto column_of = [&u](const std::string& ref) -> Result<std::string> {
     auto it = u.resolved.find(ref);
     if (it == u.resolved.end()) {
-      return Status::Internal("output ref unresolved at leaf: " + ref);
+      return Status::Internal("ref unresolved at leaf: " + ref);
     }
-    out_cols.push_back(it->second);
+    return it->second;
+  };
+  std::vector<RelationPtr> cover;  // the group's Cartesian cover
+  for (const auto& f : u.groups[0].factors) cover.push_back(f.rel);
+  if (info_.is_aggregate) {  // the aggregate is the outermost top
+    const TopOp& top = shape_.tops.back();
+    std::string column;
+    if (top.agg == algebra::AggKind::kSum) {
+      auto col = column_of(top.agg_ref);
+      if (!col.ok()) return col.status();
+      column = std::move(col).ValueOrDie();
+    }
+    auto rel = algebra::AggregateCover(cover, top.agg, column);
+    if (!rel.ok()) return rel.status();
+    return rel.ValueOrDie().rows();
   }
-
-  Relation combined{relational::RelationSchema{}};
-  URM_CHECK_OK(combined.AddRow(Row{}));
-  for (const auto& f : group.factors) {
-    std::vector<std::string> cols;
-    for (const auto& c : out_cols) {
-      if (f.rel->schema().IndexOf(c).has_value()) cols.push_back(c);
-    }
-    if (cols.empty()) {
-      if (f.rel->empty()) return std::vector<Row>{};  // θ
-      continue;
-    }
-    auto projected = f.rel->Project(cols);
-    if (!projected.ok()) return projected.status();
-    Relation distinct = projected.ValueOrDie().Distinct();
-    auto product = combined.Product(distinct);
-    if (!product.ok()) return product.status();
-    combined = std::move(product).ValueOrDie();
-  }
-
-  // Order the columns per output_refs.
-  std::vector<size_t> indices;
-  for (const auto& c : out_cols) {
-    auto idx = combined.schema().IndexOf(c);
-    if (!idx.has_value()) {
-      return Status::Internal("assembled column missing: " + c);
-    }
-    indices.push_back(*idx);
+  std::vector<std::string> out_cols;
+  for (const auto& ref : info_.output_refs) {
+    auto col = column_of(ref);
+    if (!col.ok()) return col.status();
+    out_cols.push_back(std::move(col).ValueOrDie());
   }
   std::vector<Row> rows;
-  rows.reserve(combined.num_rows());
-  for (const Row& r : combined.rows()) {
-    Row out;
-    out.reserve(indices.size());
-    for (size_t idx : indices) out.push_back(r[idx]);
-    rows.push_back(std::move(out));
-  }
+  auto schema = algebra::DistinctProjectCover(cover, out_cols, &rows);
+  if (!schema.ok()) return schema.status();
   return rows;
 }
 

@@ -17,9 +17,11 @@
 /// *factored*. A Group collects the target-table instances merged by
 /// executed Cartesian products; its state is a set of independent
 /// `Factor` relations whose (implicit) Cartesian product is the paper's
-/// intermediate relation. Row multiplication is deferred to the point
-/// where a join predicate, an aggregate, or final answer assembly needs
-/// it — the results are identical, but Cartesian covers never blow up.
+/// intermediate relation. Rows are multiplied only where a join
+/// predicate spans two factors; the leaf reads its answer (COUNT, SUM
+/// or the distinct output rows) off the factors through
+/// algebra/cover.h, as the evaluator does — same results, but
+/// Cartesian covers never blow up.
 
 namespace urm {
 namespace osharing {
@@ -75,9 +77,6 @@ struct EUnit {
   /// Target refs whose source column is already fixed on this branch
   /// ("po1.orderNum" -> "po1$orders.o_orderkey").
   std::map<std::string, std::string> resolved;
-
-  /// Set when an aggregate top has produced its single-row factor.
-  bool aggregated = false;
 
   const Group* GroupOfInstance(const std::string& alias) const {
     for (const auto& g : groups) {

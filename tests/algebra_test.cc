@@ -43,7 +43,64 @@ Catalog SmallCatalog() {
     URM_CHECK_OK(catalog.Register(
         "s", std::make_shared<const Relation>(std::move(r))));
   }
+  {
+    RelationSchema s;
+    URM_CHECK_OK(s.AddColumn({"t.k", ValueType::kString}));
+    URM_CHECK_OK(s.AddColumn({"t.x", ValueType::kInt64}));
+    Relation r(s);
+    URM_CHECK_OK(r.AddRow({"p", 3}));
+    URM_CHECK_OK(r.AddRow({"q", 4}));
+    URM_CHECK_OK(r.AddRow({"r", 3}));
+    URM_CHECK_OK(catalog.Register(
+        "t", std::make_shared<const Relation>(std::move(r))));
+  }
   return catalog;
+}
+
+/// A Cartesian cover over the small catalog and the number of
+/// selections inside its factors (the only operators below the
+/// aggregate the evaluator runs).
+struct Cover {
+  std::string name;
+  PlanPtr plan;
+  size_t selections;
+};
+
+/// Two- and three-factor covers, left-deep and bushy, and one whose
+/// middle factor is empty (the owner of s1.w, a non-owner otherwise).
+std::vector<Cover> Covers() {
+  PlanPtr r = MakeScan("r", "r1");
+  PlanPtr s = MakeScan("s", "s1");
+  PlanPtr t = MakeScan("t", "t1");
+  PlanPtr none = MakeSelect(
+      s, Predicate::AttrCmpValue("s1.id", CmpOp::kEq, "zzz"));
+  return {{"r×s", MakeProduct(r, s), 0},
+          {"(r×s)×t", MakeProduct(MakeProduct(r, s), t), 0},
+          {"r×(s×t)", MakeProduct(r, MakeProduct(s, t)), 0},
+          {"(r×∅)×t", MakeProduct(MakeProduct(r, none), t), 1}};
+}
+
+/// The materialized rows of `plan` (the evaluator builds plain
+/// Products): the reference the factor-based answers must match.
+relational::RelationPtr Materialize(const PlanPtr& plan,
+                                    const Catalog& catalog) {
+  auto rel = Evaluate(plan, catalog);
+  URM_CHECK(rel.ok()) << rel.status().ToString();
+  return rel.ValueOrDie();
+}
+
+/// SUM(attr) over materialized rows, row by row; INT64 unless a
+/// numeric cell is not.
+Value ReferenceSum(const Relation& rel, const std::string& attr) {
+  size_t idx = *rel.schema().IndexOf(attr);
+  double sum = 0.0;
+  bool all_int = true;
+  for (const auto& row : rel.rows()) {
+    if (!row[idx].is_numeric()) continue;
+    all_int = all_int && row[idx].type() == ValueType::kInt64;
+    sum += row[idx].NumericValue();
+  }
+  return all_int ? Value(static_cast<int64_t>(sum)) : Value(sum);
 }
 
 TEST(ExprTest, CompareValuesAllOps) {
@@ -170,23 +227,70 @@ TEST(EvaluateTest, FusedHashJoinMatchesProductFilter) {
 
 TEST(EvaluateTest, CountOverProductIsLazy) {
   Catalog catalog = SmallCatalog();
-  PlanPtr p = MakeAggregate(
-      MakeProduct(MakeScan("r", "r1"), MakeScan("s", "s1")),
-      AggKind::kCount);
-  auto rel = Evaluate(p, catalog);
-  ASSERT_TRUE(rel.ok());
-  EXPECT_EQ(rel.ValueOrDie()->rows()[0][0], Value(6));
+  for (const Cover& cover : Covers()) {
+    for (bool project : {false, true}) {
+      PlanPtr input = project ? MakeProject(cover.plan, {"r1.id"})
+                              : cover.plan;
+      EvalStats stats;
+      EvalContext ctx;
+      ctx.catalog = &catalog;
+      ctx.stats = &stats;
+      auto rel = Evaluate(MakeAggregate(input, AggKind::kCount), ctx);
+      ASSERT_TRUE(rel.ok()) << cover.name;
+      size_t rows = Materialize(cover.plan, catalog)->num_rows();
+      EXPECT_EQ(rel.ValueOrDie()->rows()[0][0],
+                Value(static_cast<int64_t>(rows)))
+          << cover.name;
+      // Only the aggregate's own row: no product row is built.
+      EXPECT_EQ(stats.tuples_produced, 1u) << cover.name;
+      // Neither the Products nor a Project seen through are counted.
+      EXPECT_EQ(stats.operators_executed, 1 + cover.selections)
+          << cover.name << (project ? " π" : "");
+    }
+  }
 }
 
 TEST(EvaluateTest, SumOverProductScalesByOtherSide) {
   Catalog catalog = SmallCatalog();
-  PlanPtr p = MakeAggregate(
-      MakeProduct(MakeScan("r", "r1"), MakeScan("s", "s1")),
-      AggKind::kSum, "r1.v");
-  auto rel = Evaluate(p, catalog);
-  ASSERT_TRUE(rel.ok());
   // sum(v) = 5, times |s| = 2.
-  EXPECT_EQ(rel.ValueOrDie()->rows()[0][0], Value(10));
+  auto simple = Evaluate(
+      MakeAggregate(MakeProduct(MakeScan("r", "r1"), MakeScan("s", "s1")),
+                    AggKind::kSum, "r1.v"),
+      catalog);
+  ASSERT_TRUE(simple.ok());
+  EXPECT_EQ(simple.ValueOrDie()->rows()[0][0], Value(10));
+
+  // An int column in the first and the last factor, a string column
+  // (sums to INT64 0) and a double column.
+  for (const Cover& cover : Covers()) {
+    for (const std::string attr : {"r1.v", "t1.x", "r1.id", "s1.w"}) {
+      if (!Materialize(cover.plan, catalog)->schema().IndexOf(attr)) {
+        continue;  // t is not in the two-factor cover
+      }
+      for (bool project : {false, true}) {
+        std::string label = cover.name + " SUM(" + attr + ")" +
+                            (project ? " π" : "");
+        PlanPtr input = project ? MakeProject(cover.plan, {attr})
+                                : cover.plan;
+        EvalStats stats;
+        EvalContext ctx;
+        ctx.catalog = &catalog;
+        ctx.stats = &stats;
+        auto rel = Evaluate(MakeAggregate(input, AggKind::kSum, attr), ctx);
+        ASSERT_TRUE(rel.ok()) << label << ": " << rel.status().ToString();
+        Value expected =
+            ReferenceSum(*Materialize(cover.plan, catalog), attr);
+        const Value& got = rel.ValueOrDie()->rows()[0][0];
+        EXPECT_EQ(got, expected) << label;
+        EXPECT_EQ(got.type(), expected.type()) << label;
+        EXPECT_EQ(rel.ValueOrDie()->schema().column(0).type,
+                  expected.type())
+            << label;
+        EXPECT_EQ(stats.tuples_produced, 1u) << label;
+        EXPECT_EQ(stats.operators_executed, 1 + cover.selections) << label;
+      }
+    }
+  }
 }
 
 TEST(EvaluateTest, SumOverDoublesKeepsDoubleType) {
@@ -205,6 +309,31 @@ TEST(EvaluateTest, DistinctProjectSplitsAcrossProduct) {
   auto rel = Evaluate(p, catalog);
   ASSERT_TRUE(rel.ok());
   EXPECT_EQ(rel.ValueOrDie()->num_rows(), 2u);
+
+  // Three factors, the middle one contributing no column, projected
+  // against factor order: columns come in projection order, rows in
+  // the order Distinct keeps over the materialized product.
+  PlanPtr cover = MakeProduct(
+      MakeProduct(MakeScan("r", "r1"), MakeScan("s", "s1")),
+      MakeScan("t", "t1"));
+  const std::vector<std::string> cols = {"t1.x", "r1.v"};
+  EvalStats stats;
+  EvalContext ctx;
+  ctx.catalog = &catalog;
+  ctx.stats = &stats;
+  auto split = Evaluate(MakeDistinct(MakeProject(cover, cols)), ctx);
+  ASSERT_TRUE(split.ok()) << split.status().ToString();
+  auto reference = Materialize(cover, catalog)->Project(cols);
+  ASSERT_TRUE(reference.ok());
+  Relation expected = reference.ValueOrDie().Distinct();
+  const Relation& got = *split.ValueOrDie();
+  ASSERT_EQ(got.schema().num_columns(), 2u);
+  EXPECT_EQ(got.schema().column(0).name, "t1.x");
+  EXPECT_EQ(got.schema().column(1).name, "r1.v");
+  ASSERT_EQ(got.num_rows(), 4u);  // {3, 4} × {1, 2}
+  EXPECT_EQ(got.rows(), expected.rows());
+  EXPECT_EQ(stats.operators_executed, 1u);  // the projection
+  EXPECT_EQ(stats.tuples_produced, 0u);
 }
 
 TEST(EvaluateTest, DistinctProjectEmptySideYieldsNothing) {

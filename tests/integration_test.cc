@@ -131,6 +131,126 @@ TEST(WorkloadTest, TopKAgreesWithExhaustiveOnQ4) {
   }
 }
 
+/// `got` holds exactly `want`'s tuples, each with equal values of equal
+/// type (so SUMs agree bit for bit) and a probability within 1e-12.
+void ExpectSameAnswers(const reformulation::AnswerSet& want,
+                       const reformulation::AnswerSet& got,
+                       const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label << "\nwant:\n"
+                                     << want.ToString() << "\ngot:\n"
+                                     << got.ToString();
+  EXPECT_NEAR(got.null_probability(), want.null_probability(), 1e-12)
+      << label;
+  for (const auto& w : want.tuples()) {
+    const reformulation::AnswerTuple* match = nullptr;
+    for (const auto& g : got.tuples()) {
+      if (relational::RowsEqual(g.values, w.values)) match = &g;
+    }
+    ASSERT_NE(match, nullptr) << label << ": missing "
+                              << w.values[0].ToString() << "\ngot:\n"
+                              << got.ToString();
+    EXPECT_NEAR(match->probability, w.probability, 1e-12) << label;
+    for (size_t i = 0; i < w.values.size(); ++i) {
+      EXPECT_EQ(match->values[i].type(), w.values[i].type()) << label;
+    }
+  }
+}
+
+/// Each bounded tuple is one of `exact`'s and its bounds bracket the
+/// exact probability.
+template <typename Entry>
+void ExpectBracketed(const reformulation::AnswerSet& exact,
+                     const std::vector<Entry>& entries,
+                     const std::string& label) {
+  for (const Entry& e : entries) {
+    const reformulation::AnswerTuple* match = nullptr;
+    for (const auto& t : exact.tuples()) {
+      if (relational::RowsEqual(t.values, e.values)) match = &t;
+    }
+    ASSERT_NE(match, nullptr) << label << ": "
+                              << e.values[0].ToString()
+                              << " is no exact answer";
+    EXPECT_LE(e.lower_bound, match->probability + 1e-12) << label;
+    EXPECT_GE(e.upper_bound, match->probability - 1e-12) << label;
+  }
+}
+
+/// SUM(sum_attr) over σ po.telephone (PO × Item), optionally with a
+/// selection on Item and a projection above the product.
+algebra::PlanPtr SumOverCover(const std::string& sum_attr, bool select_item,
+                              bool project) {
+  using algebra::CmpOp;
+  using algebra::Predicate;
+  algebra::PlanPtr p = algebra::MakeProduct(algebra::MakeScan("PO", "po"),
+                                            algebra::MakeScan("Item", "item"));
+  p = algebra::MakeSelect(
+      p, Predicate::AttrCmpValue("po.telephone", CmpOp::kEq, "335-1736"));
+  if (select_item) {
+    p = algebra::MakeSelect(
+        p, Predicate::AttrCmpValue("item.itemNum", CmpOp::kEq, "00001"));
+  }
+  if (project) p = algebra::MakeProject(p, {sum_attr});
+  return algebra::MakeAggregate(p, algebra::AggKind::kSum, sum_attr);
+}
+
+// A SUM over a Cartesian cover is (the summed factor's SUM) × (the
+// other factors' cardinalities), computed alike by every method: the
+// summed instance may be one no selection touches (o-sharing then adds
+// its scan only at the aggregate), and a projection may sit between
+// the aggregate and the product.
+TEST(WorkloadTest, SumOverCoverAgreesAcrossMethods) {
+  struct Case {
+    datagen::TargetSchemaId schema;
+    std::string sum_attr;
+  };
+  for (const Case& c :
+       {Case{datagen::TargetSchemaId::kParagon, "item.quantity"},
+        Case{datagen::TargetSchemaId::kExcel, "item.extendedPrice"}}) {
+    Engine* engine = SharedEngine(c.schema);
+    for (bool select_item : {false, true}) {
+      for (bool project : {false, true}) {
+        algebra::PlanPtr q = SumOverCover(c.sum_attr, select_item, project);
+        std::string label = c.sum_attr +
+                            (select_item ? " σ both sides" : " σ PO") +
+                            (project ? " π" : "");
+        auto basic = engine->Run(Request::MethodEval(q, Method::kBasic));
+        ASSERT_TRUE(basic.ok()) << label << ": "
+                                << basic.status().ToString();
+        const auto& expected = basic.ValueOrDie().evaluate.answers;
+        ASSERT_FALSE(expected.empty()) << label;
+        for (Method method :
+             {Method::kEBasic, Method::kEMqo, Method::kQSharing}) {
+          auto got = engine->Run(Request::MethodEval(q, method));
+          ASSERT_TRUE(got.ok()) << label << " " << MethodName(method)
+                                << ": " << got.status().ToString();
+          ExpectSameAnswers(expected, got.ValueOrDie().evaluate.answers,
+                            label + " " + MethodName(method));
+        }
+        for (auto strategy :
+             {osharing::StrategyKind::kSEF, osharing::StrategyKind::kSNF,
+              osharing::StrategyKind::kRandom}) {
+          std::string where = label + " " + osharing::StrategyName(strategy);
+          auto got = engine->Run(Request::MethodEval(q, Method::kOSharing)
+                                     .WithStrategy(strategy));
+          ASSERT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+          ExpectSameAnswers(expected, got.ValueOrDie().evaluate.answers,
+                            where + " o-sharing");
+          auto top = engine->Run(Request::TopK(q, 3).WithStrategy(strategy));
+          ASSERT_TRUE(top.ok()) << where << ": " << top.status().ToString();
+          ExpectBracketed(expected, top.ValueOrDie().top_k.tuples,
+                          where + " top-k");
+          auto above =
+              engine->Run(Request::Threshold(q, 0.05).WithStrategy(strategy));
+          ASSERT_TRUE(above.ok())
+              << where << ": " << above.status().ToString();
+          ExpectBracketed(expected, above.ValueOrDie().threshold.tuples,
+                          where + " threshold");
+        }
+      }
+    }
+  }
+}
+
 TEST(WorkloadTest, QueryLookupAndDefault) {
   EXPECT_EQ(DefaultQuery().id, "Q4");
   EXPECT_EQ(PaperWorkload().size(), 10u);
