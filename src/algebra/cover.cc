@@ -3,6 +3,8 @@
 #include <optional>
 #include <unordered_set>
 
+#include "common/hash_util.h"
+
 namespace urm {
 namespace algebra {
 
@@ -30,29 +32,6 @@ std::optional<ColumnRef> Locate(const std::vector<RelationPtr>& factors,
     }
   }
   return std::nullopt;
-}
-
-/// Positions of the rows whose projection onto `columns` occurs first,
-/// ascending — the rows Project(columns).Distinct() would keep.
-std::vector<size_t> FirstOccurrences(const std::vector<Row>& rows,
-                                     const std::vector<int>& columns) {
-  auto hash = [&](size_t i) {
-    return relational::HashProjectedRow(rows[i], columns);
-  };
-  auto equal = [&](size_t a, size_t b) {
-    for (int c : columns) {
-      size_t col = static_cast<size_t>(c);
-      if (!(rows[a][col] == rows[b][col])) return false;
-    }
-    return true;
-  };
-  std::unordered_set<size_t, decltype(hash), decltype(equal)> seen(
-      16, hash, equal);
-  std::vector<size_t> out;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (seen.insert(i).second) out.push_back(i);
-  }
-  return out;
 }
 
 }  // namespace
@@ -96,51 +75,90 @@ Result<Relation> AggregateCover(const std::vector<RelationPtr>& factors,
   return out;
 }
 
-Result<RelationSchema> DistinctProjectCover(
+DistinctCover::Share DistinctCover::PickFirstOccurrences(
+    const RelationPtr& factor, const std::vector<int>& columns) {
+  const std::vector<Row>& rows = factor->rows();
+  const size_t width = columns.size();
+  std::vector<size_t> cell_hashes(rows.size() * width);
+  std::vector<size_t> row_hashes(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    size_t seed = relational::kRowHashSeed;
+    for (size_t k = 0; k < width; ++k) {
+      size_t h = rows[i][static_cast<size_t>(columns[k])].Hash();
+      cell_hashes[i * width + k] = h;
+      HashCombine(seed, h);
+    }
+    row_hashes[i] = seed;
+  }
+  auto hash = [&](size_t i) { return row_hashes[i]; };
+  auto equal = [&](size_t a, size_t b) {
+    for (int c : columns) {
+      size_t col = static_cast<size_t>(c);
+      if (!(rows[a][col] == rows[b][col])) return false;
+    }
+    return true;
+  };
+  std::unordered_set<size_t, decltype(hash), decltype(equal)> seen(
+      16, hash, equal);
+  Share share;
+  share.rel = factor;
+  share.width = width;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!seen.insert(i).second) continue;
+    for (size_t k = 0; k < width; ++k) {
+      share.cells.push_back(&rows[i][static_cast<size_t>(columns[k])]);
+      share.hashes.push_back(cell_hashes[i * width + k]);
+    }
+  }
+  return share;
+}
+
+Result<DistinctCover> DistinctCover::Make(
     const std::vector<RelationPtr>& factors,
-    const std::vector<std::string>& columns, std::vector<Row>* rows) {
-  RelationSchema schema;
-  std::vector<ColumnRef> refs;
+    const std::vector<std::string>& columns) {
+  DistinctCover cover;
+  struct Slot {
+    size_t factor;
+    size_t slot;
+  };
+  std::vector<Slot> slots;
   std::vector<std::vector<int>> shares(factors.size());
   for (const auto& c : columns) {
     auto at = Locate(factors, c);
     if (!at) return Status::NotFound("projected column in no factor: " + c);
-    URM_RETURN_NOT_OK(
-        schema.AddColumn(factors[at->factor]->schema().column(at->index)));
-    refs.push_back(*at);
+    URM_RETURN_NOT_OK(cover.schema_.AddColumn(
+        factors[at->factor]->schema().column(at->index)));
+    slots.push_back(Slot{at->factor, shares[at->factor].size()});
     shares[at->factor].push_back(static_cast<int>(at->index));
   }
-
-  // Each sharing factor's distinct rows; the others must be non-empty.
-  std::vector<std::vector<size_t>> picks(factors.size());
-  size_t total = 1;
+  // A factor sharing no column only has to be non-empty.
   for (size_t f = 0; f < factors.size(); ++f) {
-    if (shares[f].empty()) {
-      if (factors[f]->empty()) return schema;
-      continue;
-    }
-    picks[f] = FirstOccurrences(factors[f]->rows(), shares[f]);
-    total *= picks[f].size();
+    if (shares[f].empty() && factors[f]->empty()) return cover;
   }
+  std::vector<uint32_t> share_of(factors.size(), 0);
+  cover.num_rows_ = 1;
+  for (size_t f = 0; f < factors.size(); ++f) {
+    if (shares[f].empty()) continue;
+    share_of[f] = static_cast<uint32_t>(cover.shares_.size());
+    cover.shares_.push_back(PickFirstOccurrences(factors[f], shares[f]));
+    cover.num_rows_ *= cover.shares_.back().cells.size() / shares[f].size();
+  }
+  for (const Slot& s : slots) {
+    cover.where_.emplace_back(share_of[s.factor],
+                              static_cast<uint32_t>(s.slot));
+  }
+  return cover;
+}
 
-  // Odometer over the sharing factors, the last one turning fastest.
-  std::vector<size_t> at(factors.size(), 0);
-  rows->reserve(rows->size() + total);
-  for (size_t n = 0; n < total; ++n) {
-    Row row;
-    row.reserve(refs.size());
-    for (const ColumnRef& ref : refs) {
-      size_t f = ref.factor;
-      row.push_back(factors[f]->rows()[picks[f][at[f]]][ref.index]);
-    }
-    rows->push_back(std::move(row));
-    for (size_t f = factors.size(); f-- > 0;) {
-      if (picks[f].empty()) continue;
-      if (++at[f] < picks[f].size()) break;
-      at[f] = 0;
-    }
-  }
-  return schema;
+void DistinctCover::AppendRows(std::vector<Row>* rows) const {
+  const size_t width = where_.size();
+  rows->reserve(rows->size() + num_rows_);
+  ForEachRow([&](const Cursor& row) {
+    Row out;
+    out.reserve(width);
+    for (size_t c = 0; c < width; ++c) out.push_back(row.cell(c));
+    rows->push_back(std::move(out));
+  });
 }
 
 }  // namespace algebra

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algebra/plan.h"
@@ -11,8 +13,9 @@
 /// Answers over a Cartesian cover — the product F₀ × F₁ × … of evaluated
 /// factor relations, in list order — from the factors, without building
 /// the product. The evaluator and o-sharing's factored e-units both
-/// answer COUNT, SUM and distinct projections here (docs/ARCHITECTURE.md,
-/// "Cartesian covers").
+/// answer COUNT, SUM and distinct projections here, and AnswerSet reads
+/// a source query's answer rows off a DistinctCover in place
+/// (docs/ARCHITECTURE.md, "Cartesian covers").
 
 namespace urm {
 namespace algebra {
@@ -27,15 +30,98 @@ Result<relational::Relation> AggregateCover(
     const std::vector<relational::RelationPtr>& factors, AggKind agg,
     const std::string& column);
 
-/// distinct(π_columns(F₀ × F₁ × …)): the product of each factor's
-/// distinct projection onto its share of `columns`, appended to `*rows`
-/// in Relation::Product order with values in `columns` order; returns
-/// their schema. A factor holding none of the columns only has to be
-/// non-empty.
-Result<relational::RelationSchema> DistinctProjectCover(
-    const std::vector<relational::RelationPtr>& factors,
-    const std::vector<std::string>& columns,
-    std::vector<relational::Row>* rows);
+/// \brief distinct(π_columns(F₀ × F₁ × …)) as a view over the factors.
+///
+/// Each factor holding some of the columns keeps the rows whose
+/// projection onto its share occurs first (its "picks"), with the
+/// Value::Hash of every picked cell computed once; a factor holding
+/// none of them only has to be non-empty. The rows are the product of
+/// the picks in Relation::Product order (the last factor turning
+/// fastest), with values in `columns` order — the rows Project(columns)
+/// + Distinct of the materialized product would keep, in the same
+/// order. Rows are built only by AppendRows; ForEachRow reads them in
+/// place. Copies share the factors.
+class DistinctCover {
+ public:
+  /// The empty cover: no columns and no rows (the θ outcome).
+  DistinctCover() = default;
+
+  /// Fails when a column is in no factor.
+  static Result<DistinctCover> Make(
+      const std::vector<relational::RelationPtr>& factors,
+      const std::vector<std::string>& columns);
+
+  /// The projected columns, in `columns` order.
+  const relational::RelationSchema& schema() const { return schema_; }
+  size_t num_rows() const { return num_rows_; }
+  bool empty() const { return num_rows_ == 0; }
+
+  /// Appends the rows to `*rows`, in order.
+  void AppendRows(std::vector<relational::Row>* rows) const;
+
+  /// One row of the enumeration: projected column `c` of it, read in
+  /// place, and that cell's cached hash.
+  class Cursor {
+   public:
+    const relational::Value& cell(size_t c) const {
+      const auto [share, slot] = cover_->where_[c];
+      return *cover_->shares_[share].cells[base_[share] + slot];
+    }
+    size_t hash(size_t c) const {
+      const auto [share, slot] = cover_->where_[c];
+      return cover_->shares_[share].hashes[base_[share] + slot];
+    }
+
+   private:
+    friend class DistinctCover;
+    explicit Cursor(const DistinctCover* cover)
+        : cover_(cover), base_(cover->shares_.size(), 0) {}
+    /// Steps to the next row (odometer, the last share fastest).
+    void Advance() {
+      for (size_t s = base_.size(); s-- > 0;) {
+        const Share& share = cover_->shares_[s];
+        base_[s] += share.width;
+        if (base_[s] < share.cells.size()) return;
+        base_[s] = 0;
+      }
+    }
+
+    const DistinctCover* cover_;
+    std::vector<size_t> base_;  ///< per share: its current pick × width
+  };
+
+  /// Calls `visit(cursor)` for every row, in order.
+  template <typename Visit>
+  void ForEachRow(const Visit& visit) const {
+    Cursor cursor(this);
+    for (size_t n = 0; n < num_rows_; ++n) {
+      visit(static_cast<const Cursor&>(cursor));
+      cursor.Advance();
+    }
+  }
+
+ private:
+  /// The picks of one factor holding some of the columns.
+  struct Share {
+    relational::RelationPtr rel;  ///< keeps `cells` alive
+    size_t width = 0;             ///< projected columns it holds
+    /// Picked cells, pick-major: width entries per pick.
+    std::vector<const relational::Value*> cells;
+    std::vector<size_t> hashes;  ///< Value::Hash of each entry of cells
+  };
+
+  /// The picks of `factor` on its `columns`: the rows whose projection
+  /// onto them occurs first, ascending — the rows Project(columns)
+  /// .Distinct() would keep. Each cell of the columns is hashed once.
+  static Share PickFirstOccurrences(const relational::RelationPtr& factor,
+                                    const std::vector<int>& columns);
+
+  relational::RelationSchema schema_;
+  std::vector<Share> shares_;  ///< in factor order
+  /// Per projected column: its share and its slot within a pick.
+  std::vector<std::pair<uint32_t, uint32_t>> where_;
+  size_t num_rows_ = 0;
+};
 
 }  // namespace algebra
 }  // namespace urm

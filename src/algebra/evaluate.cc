@@ -115,14 +115,73 @@ Result<std::vector<RelationPtr>> EvaluateFactors(const PlanPtr& plan,
   return out;
 }
 
+/// distinct(π(X)) for `project` = π(X) under a Distinct, as a cover
+/// over the factors of X; the Products joining them are never built.
+/// The split also executes the projection, so it counts as one operator.
+Result<DistinctCover> CoverDistinctProject(const PlanNode& project,
+                                           const EvalContext& ctx) {
+  auto factors = EvaluateFactors(project.child, ctx);
+  if (!factors.ok()) return factors.status();
+  auto cover = DistinctCover::Make(factors.ValueOrDie(), project.attrs);
+  if (cover.ok() && ctx.stats != nullptr) ctx.stats->operators_executed++;
+  return cover;
+}
+
+/// The columns a join or product of `left` and `right` emits: left's
+/// then right's, in order, keeping only those ctx.reads names (all
+/// without a read set). A column is kept when a read name is its full
+/// name or, unqualified, its attribute part — every column an operator
+/// above could resolve a read name to, ambiguity included.
+struct JoinColumns {
+  RelationSchema schema;
+  std::vector<size_t> left;
+  std::vector<size_t> right;
+
+  static Result<JoinColumns> Of(const RelationSchema& left,
+                                const RelationSchema& right,
+                                const ReadSet* reads) {
+    auto full = left.Concat(right);
+    if (!full.ok()) return full.status();
+    const RelationSchema& all = full.ValueOrDie();
+    JoinColumns out;
+    for (size_t i = 0; i < all.num_columns(); ++i) {
+      const std::string& name = all.column(i).name;
+      if (reads != nullptr) {
+        if (reads->count(name) == 0 &&
+            reads->count(relational::AttributePart(name)) == 0) {
+          continue;
+        }
+        URM_RETURN_NOT_OK(out.schema.AddColumn(all.column(i)));
+      }
+      if (i < left.num_columns()) {
+        out.left.push_back(i);
+      } else {
+        out.right.push_back(i - left.num_columns());
+      }
+    }
+    if (reads == nullptr) out.schema = std::move(full).ValueOrDie();
+    return out;
+  }
+
+  Row Combine(const Row& l, const Row& r) const {
+    Row out;
+    out.reserve(left.size() + right.size());
+    for (size_t i : left) out.push_back(l[i]);
+    for (size_t i : right) out.push_back(r[i]);
+    return out;
+  }
+};
+
 // Equi-join of left and right on one column each (hash build on the
-// smaller side). Result schema = left ++ right, as for Product+Select.
+// smaller side). Result columns = left ++ right, as for Product+Select,
+// less those no read names (JoinColumns).
 Result<RelationPtr> HashJoin(RelationPtr left, size_t left_col,
                              RelationPtr right, size_t right_col,
                              const EvalContext& ctx) {
-  auto schema = left->schema().Concat(right->schema());
-  if (!schema.ok()) return schema.status();
-  Relation out(std::move(schema).ValueOrDie());
+  auto columns = JoinColumns::Of(left->schema(), right->schema(), ctx.reads);
+  if (!columns.ok()) return columns.status();
+  const JoinColumns& emit = columns.ValueOrDie();
+  std::vector<Row> rows;
 
   bool build_left = left->num_rows() <= right->num_rows();
   const Relation& build = build_left ? *left : *right;
@@ -146,13 +205,26 @@ Result<RelationPtr> HashJoin(RelationPtr left, size_t left_col,
       if (!(build_row[build_col] == v)) continue;  // hash collision
       const Row& l = build_left ? build_row : probe_row;
       const Row& r = build_left ? probe_row : build_row;
-      Row combined = l;
-      combined.insert(combined.end(), r.begin(), r.end());
-      URM_CHECK_OK(out.AddRow(std::move(combined)));
+      rows.push_back(emit.Combine(l, r));
     }
   }
-  if (ctx.stats != nullptr) ctx.stats->tuples_produced += out.num_rows();
-  return std::make_shared<const Relation>(std::move(out));
+  if (ctx.stats != nullptr) ctx.stats->tuples_produced += rows.size();
+  return std::make_shared<const Relation>(emit.schema, std::move(rows));
+}
+
+// left × right, emitting the columns JoinColumns keeps.
+Result<RelationPtr> Product(const Relation& left, const Relation& right,
+                            const EvalContext& ctx) {
+  auto columns = JoinColumns::Of(left.schema(), right.schema(), ctx.reads);
+  if (!columns.ok()) return columns.status();
+  const JoinColumns& emit = columns.ValueOrDie();
+  std::vector<Row> rows;
+  rows.reserve(left.num_rows() * right.num_rows());
+  for (const Row& l : left.rows()) {
+    for (const Row& r : right.rows()) rows.push_back(emit.Combine(l, r));
+  }
+  if (ctx.stats != nullptr) ctx.stats->tuples_produced += rows.size();
+  return std::make_shared<const Relation>(emit.schema, std::move(rows));
 }
 
 // Attempts to evaluate Select(Product(a, b)) with a cross-side equality
@@ -252,13 +324,7 @@ Result<RelationPtr> Evaluate(const PlanPtr& plan, const EvalContext& ctx) {
       if (!left.ok()) return left.status();
       auto right = Evaluate(plan->right, ctx);
       if (!right.ok()) return right.status();
-      auto prod = left.ValueOrDie()->Product(*right.ValueOrDie());
-      if (!prod.ok()) return prod.status();
-      if (ctx.stats != nullptr) {
-        ctx.stats->tuples_produced += prod.ValueOrDie().num_rows();
-      }
-      result =
-          std::make_shared<const Relation>(std::move(prod).ValueOrDie());
+      result = Product(*left.ValueOrDie(), *right.ValueOrDie(), ctx);
       break;
     }
     case PlanKind::kAggregate: {
@@ -277,17 +343,12 @@ Result<RelationPtr> Evaluate(const PlanPtr& plan, const EvalContext& ctx) {
     }
     case PlanKind::kDistinct: {
       if (plan->child->kind == PlanKind::kProject) {
-        auto factors = EvaluateFactors(plan->child->child, ctx);
-        if (!factors.ok()) return factors.status();
+        auto cover = CoverDistinctProject(*plan->child, ctx);
+        if (!cover.ok()) return cover.status();
         std::vector<Row> rows;
-        auto schema = DistinctProjectCover(factors.ValueOrDie(),
-                                           plan->child->attrs, &rows);
-        if (!schema.ok()) return schema.status();
+        cover.ValueOrDie().AppendRows(&rows);
         result = std::make_shared<const Relation>(
-            std::move(schema).ValueOrDie(), std::move(rows));
-        // The split also executed the projection; account for it so the
-        // operator counter matches the plan shape.
-        if (ctx.stats != nullptr) ctx.stats->operators_executed++;
+            cover.ValueOrDie().schema(), std::move(rows));
       } else {
         auto child = Evaluate(plan->child, ctx);
         if (!child.ok()) return child.status();
@@ -311,6 +372,48 @@ Result<RelationPtr> Evaluate(const PlanPtr& plan, const EvalContext& ctx) {
     ctx.cache->emplace(std::move(key), result.ValueOrDie());
   }
   return result;
+}
+
+namespace {
+
+/// Whether `plan` has a Select over a Product or with a join predicate:
+/// where a source plan runs a hash join or materializes a product. A
+/// plan without one gets no read set, so small single-table queries do
+/// not pay for computing it.
+bool JoinsRows(const PlanPtr& plan) {
+  if (plan == nullptr) return false;
+  if (plan->kind == PlanKind::kSelect &&
+      (plan->predicate.is_join_predicate() ||
+       plan->child->kind == PlanKind::kProduct)) {
+    return true;
+  }
+  return JoinsRows(plan->child) || JoinsRows(plan->right);
+}
+
+}  // namespace
+
+Result<DistinctCover> EvaluateSourceQuery(const PlanPtr& plan,
+                                          const EvalContext& ctx) {
+  if (plan == nullptr) return Status::InvalidArgument("null plan");
+  ReadSet reads;
+  EvalContext read_ctx = ctx;
+  if (read_ctx.reads == nullptr && JoinsRows(plan)) {
+    for (std::string& attr : ReferencedAttributes(plan)) {
+      reads.insert(std::move(attr));
+    }
+    read_ctx.reads = &reads;
+  }
+  if (plan->kind == PlanKind::kDistinct &&
+      plan->child->kind == PlanKind::kProject) {
+    return CoverDistinctProject(*plan->child, read_ctx);
+  }
+  auto rel = Evaluate(plan, read_ctx);
+  if (!rel.ok()) return rel.status();
+  std::vector<std::string> columns;
+  for (const auto& col : rel.ValueOrDie()->schema().columns()) {
+    columns.push_back(col.name);
+  }
+  return DistinctCover::Make({std::move(rel).ValueOrDie()}, columns);
 }
 
 Result<RelationPtr> Evaluate(const PlanPtr& plan,

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "algebra/cover.h"
 #include "algebra/plan.h"
 #include "common/status.h"
 #include "relational/catalog.h"
@@ -12,9 +13,12 @@
 /// Recursive evaluator for algebra plans over a Catalog. It materializes
 /// operators, except that COUNT / SUM and distinct projections over a
 /// Cartesian cover are answered from its factors (algebra/cover.h, as in
-/// o-sharing). Tracks operator/tuple statistics (used by the paper's
-/// Table IV) and optionally memoizes subexpression results by canonical
-/// form (used by the e-MQO baseline).
+/// o-sharing). A source query evaluates through EvaluateSourceQuery to
+/// a DistinctCover that AnswerSet reads in place, and its joins and
+/// products emit only the columns the plan reads. Tracks operator/tuple
+/// statistics (used by the paper's Table IV) and optionally memoizes
+/// subexpression results by canonical form (used by the e-MQO
+/// baseline).
 
 namespace urm {
 namespace algebra {
@@ -72,7 +76,10 @@ struct EvalStats {
 /// Shared-subexpression memo: canonical plan string -> result.
 using EvalCache = std::unordered_map<std::string, relational::RelationPtr>;
 
-/// Evaluation environment. `stats` and `cache` may be null.
+/// Column names a plan reads (ReferencedAttributes).
+using ReadSet = std::unordered_set<std::string>;
+
+/// Evaluation environment. `stats`, `cache` and `reads` may be null.
 struct EvalContext {
   const relational::Catalog* catalog = nullptr;
   EvalStats* stats = nullptr;
@@ -81,6 +88,12 @@ struct EvalContext {
   /// *stored* in the cache (lookups always consult the cache). e-MQO
   /// uses this to memoize exactly its chosen materialization set.
   const std::unordered_set<std::string>* cache_filter = nullptr;
+  /// When set, hash joins and materialized products emit only the
+  /// columns a name here resolves to, in their usual order; row counts,
+  /// row order and statistics do not change. Every result stored in
+  /// `cache` then holds only these columns, so plans sharing one memo
+  /// must share one read set.
+  const ReadSet* reads = nullptr;
 };
 
 /// Evaluates `plan` bottom-up.
@@ -93,6 +106,17 @@ struct EvalContext {
 /// every evaluated subplan is looked up / stored by canonical form.
 Result<relational::RelationPtr> Evaluate(const PlanPtr& plan,
                                          const EvalContext& ctx);
+
+/// Evaluates a source query's plan to the cover of its distinct answer
+/// rows: a Distinct over a Project becomes the cover of the projection
+/// over the factors below it (the Distinct is not looked up in the
+/// memo), and any other plan — an Aggregate's one row included — the
+/// cover of its evaluated result over all its columns. Joins and
+/// products below read only `ctx.reads`, or, when that is null, the
+/// attributes the plan references (computed only for plans with a
+/// Select over a Product or with a join predicate).
+Result<DistinctCover> EvaluateSourceQuery(const PlanPtr& plan,
+                                          const EvalContext& ctx);
 
 /// Convenience: evaluate against a catalog without stats or cache.
 Result<relational::RelationPtr> Evaluate(

@@ -69,17 +69,27 @@ Result<std::vector<QueryGroup>> BuildGroups(
   return groups;
 }
 
-/// Executes the groups and aggregates answers. `cache`/`filter` wire up
-/// e-MQO's shared-subexpression memoization (mutually exclusive with
-/// parallel execution). With `exec.parallel()`, the independent group
-/// plans evaluate concurrently on the pool; answers are then merged in
-/// group order, replaying exactly the sequential accumulation sequence.
+/// e-MQO's shared-subexpression memo: the memo, the subplans it
+/// stores, and the union of the group plans' read sets — one memoized
+/// subplan serves every plan containing it, so it must keep the
+/// columns any of them reads.
+struct SharedMemo {
+  algebra::EvalCache* cache = nullptr;
+  const std::unordered_set<std::string>* filter = nullptr;
+  const algebra::ReadSet* reads = nullptr;
+};
+
+/// Executes the groups and aggregates answers; each group's source
+/// query evaluates to a cover that AnswerSet reads in place. `memo`
+/// wires up e-MQO's memoization (mutually exclusive with parallel
+/// execution); without it each plan reads its own read set. With
+/// `exec.parallel()`, the independent group plans evaluate concurrently
+/// on the pool; answers are then merged in group order, replaying
+/// exactly the sequential accumulation sequence.
 Result<MethodResult> ExecuteGroups(
     const TargetQueryInfo& info, std::vector<QueryGroup> groups,
     const relational::Catalog& catalog, MethodResult result,
-    algebra::EvalCache* cache,
-    const std::unordered_set<std::string>* filter,
-    const ExecOptions& exec = ExecOptions()) {
+    const SharedMemo& memo, const ExecOptions& exec = ExecOptions()) {
   result.answers = AnswerSet(info.output_refs);
   Timer timer;
   // Per-group merge shared by both paths, so sequential and parallel
@@ -91,19 +101,21 @@ Result<MethodResult> ExecuteGroups(
     result.aggregate_seconds += timer.Lap();
   };
   auto merge_answered = [&](const QueryGroup& group,
-                            const relational::Relation& rel,
+                            const algebra::DistinctCover& cover,
                             double eval_seconds) -> Status {
     result.source_queries++;
     result.eval_seconds += eval_seconds;
     timer.Reset();
-    URM_RETURN_NOT_OK(reformulation::AssembleAnswers(
-        rel, group.query.layout, group.probability, &result.answers));
+    auto columns =
+        reformulation::LayoutColumns(cover.schema(), group.query.layout);
+    if (!columns.ok()) return columns.status();
+    result.answers.AddCover(cover, columns.ValueOrDie(), group.probability);
     result.aggregate_seconds += timer.Lap();
     return Status::OK();
   };
-  if (exec.parallel() && cache == nullptr) {
+  if (exec.parallel() && memo.cache == nullptr) {
     struct GroupEval {
-      Result<relational::RelationPtr> rel =
+      Result<algebra::DistinctCover> cover =
           Status::Internal("group not evaluated");
       algebra::EvalStats stats;
       double seconds = 0.0;
@@ -115,7 +127,7 @@ Result<MethodResult> ExecuteGroups(
       EvalContext ctx;
       ctx.catalog = &catalog;
       ctx.stats = &evals[i].stats;
-      evals[i].rel = algebra::Evaluate(groups[i].query.plan, ctx);
+      evals[i].cover = algebra::EvaluateSourceQuery(groups[i].query.plan, ctx);
       evals[i].seconds = eval_timer.Lap();
     });
     for (size_t i = 0; i < groups.size(); ++i) {
@@ -123,10 +135,10 @@ Result<MethodResult> ExecuteGroups(
         merge_unanswerable(groups[i]);
         continue;
       }
-      if (!evals[i].rel.ok()) return evals[i].rel.status();
+      if (!evals[i].cover.ok()) return evals[i].cover.status();
       result.stats += evals[i].stats;
-      URM_RETURN_NOT_OK(merge_answered(groups[i], *evals[i].rel.ValueOrDie(),
-                                       evals[i].seconds));
+      URM_RETURN_NOT_OK(merge_answered(
+          groups[i], evals[i].cover.ValueOrDie(), evals[i].seconds));
     }
     return result;
   }
@@ -139,11 +151,13 @@ Result<MethodResult> ExecuteGroups(
     EvalContext ctx;
     ctx.catalog = &catalog;
     ctx.stats = &result.stats;
-    ctx.cache = cache;
-    ctx.cache_filter = filter;
-    auto rel = algebra::Evaluate(group.query.plan, ctx);
-    if (!rel.ok()) return rel.status();
-    URM_RETURN_NOT_OK(merge_answered(group, *rel.ValueOrDie(), timer.Lap()));
+    ctx.cache = memo.cache;
+    ctx.cache_filter = memo.filter;
+    ctx.reads = memo.reads;
+    auto cover = algebra::EvaluateSourceQuery(group.query.plan, ctx);
+    if (!cover.ok()) return cover.status();
+    URM_RETURN_NOT_OK(
+        merge_answered(group, cover.ValueOrDie(), timer.Lap()));
   }
   return result;
 }
@@ -163,7 +177,7 @@ Result<MethodResult> RunBasic(
   if (!groups.ok()) return groups.status();
   result.rewrite_seconds = timer.Lap();
   return ExecuteGroups(info, std::move(groups).ValueOrDie(), catalog,
-                       std::move(result), nullptr, nullptr, exec);
+                       std::move(result), SharedMemo(), exec);
 }
 
 Result<MethodResult> RunEBasic(
@@ -179,7 +193,7 @@ Result<MethodResult> RunEBasic(
   result.rewrite_seconds = timer.Lap();
   result.partitions = groups.ValueOrDie().size();
   return ExecuteGroups(info, std::move(groups).ValueOrDie(), catalog,
-                       std::move(result), nullptr, nullptr, exec);
+                       std::move(result), SharedMemo(), exec);
 }
 
 Result<MethodResult> RunEMqo(
@@ -197,8 +211,13 @@ Result<MethodResult> RunEMqo(
   result.partitions = groups.ValueOrDie().size();
 
   std::vector<PlanPtr> plans;
+  algebra::ReadSet reads;
   for (const auto& g : groups.ValueOrDie()) {
-    if (g.query.answerable) plans.push_back(g.query.plan);
+    if (!g.query.answerable) continue;
+    plans.push_back(g.query.plan);
+    for (std::string& attr : algebra::ReferencedAttributes(g.query.plan)) {
+      reads.insert(std::move(attr));
+    }
   }
   timer.Reset();
   auto mqo = GenerateGlobalPlan(plans, catalog);
@@ -206,9 +225,9 @@ Result<MethodResult> RunEMqo(
   result.plan_seconds = timer.Lap();
 
   algebra::EvalCache cache;
-  return ExecuteGroups(info, std::move(groups).ValueOrDie(), catalog,
-                       std::move(result), &cache,
-                       &mqo.ValueOrDie().materialized);
+  return ExecuteGroups(
+      info, std::move(groups).ValueOrDie(), catalog, std::move(result),
+      SharedMemo{&cache, &mqo.ValueOrDie().materialized, &reads});
 }
 
 }  // namespace baselines

@@ -23,8 +23,10 @@ class SinkLeafAdapter : public osharing::LeafVisitor {
  public:
   explicit SinkLeafAdapter(AnswerSink* sink) : sink_(sink) {}
 
-  bool OnLeaf(const std::vector<relational::Row>& rows,
+  bool OnLeaf(const algebra::DistinctCover& cover,
               double probability) override {
+    std::vector<relational::Row> rows;
+    cover.AppendRows(&rows);
     return sink_->OnAnswer(rows, probability);
   }
 

@@ -29,7 +29,9 @@ const char* SetOpName(SetOpKind kind) {
 namespace {
 
 /// Rows of one side under one representative mapping (empty when the
-/// mapping cannot answer the side).
+/// mapping cannot answer the side): its source query's cover read
+/// through the layout, each distinct row once, in first-occurrence
+/// order.
 Result<std::vector<Row>> SideRows(
     const TargetQueryInfo& info, const mapping::Mapping& rep,
     const relational::Catalog& catalog,
@@ -44,9 +46,18 @@ Result<std::vector<Row>> SideRows(
   algebra::EvalContext ctx;
   ctx.catalog = &catalog;
   ctx.stats = stats;
-  auto rel = algebra::Evaluate(optimized.ValueOrDie(), ctx);
-  if (!rel.ok()) return rel.status();
-  return reformulation::AssembleRows(*rel.ValueOrDie(), sq.layout);
+  auto cover = algebra::EvaluateSourceQuery(optimized.ValueOrDie(), ctx);
+  if (!cover.ok()) return cover.status();
+  auto columns =
+      reformulation::LayoutColumns(cover.ValueOrDie().schema(), sq.layout);
+  if (!columns.ok()) return columns.status();
+  // One partition of an AnswerSet keeps each answer row once.
+  reformulation::AnswerSet side;
+  side.AddCover(cover.ValueOrDie(), columns.ValueOrDie(), 1.0);
+  std::vector<Row> rows;
+  rows.reserve(side.size());
+  for (const auto& tuple : side.tuples()) rows.push_back(tuple.values);
+  return rows;
 }
 
 /// Positions in `rows` of the set operation's result. `rows` holds the

@@ -23,7 +23,6 @@ using reformulation::SignatureSlot;
 using relational::AttributePart;
 using relational::InstancePart;
 using relational::RelationPtr;
-using relational::Row;
 
 const char* StrategyName(StrategyKind kind) {
   switch (kind) {
@@ -113,22 +112,17 @@ Status OSharingEngine::Run(const std::vector<WeightedMapping>& reps,
 }
 
 /// Buffers leaf outcomes for deferred in-order replay (never aborts).
-/// Owned leaves are moved in, and the replay loop moves them out
-/// again, so buffering adds no row copies over the sequential path.
+/// A buffered cover shares its factors, so buffering copies no rows.
 class OSharingEngine::BufferingVisitor : public LeafVisitor {
  public:
   struct Leaf {
-    std::vector<Row> rows;
+    algebra::DistinctCover cover;
     double probability = 0.0;
   };
 
-  bool OnLeaf(const std::vector<Row>& rows, double probability) override {
-    leaves_.push_back(Leaf{rows, probability});
-    return true;
-  }
-
-  bool OnLeafOwned(std::vector<Row>&& rows, double probability) override {
-    leaves_.push_back(Leaf{std::move(rows), probability});
+  bool OnLeaf(const algebra::DistinctCover& cover,
+              double probability) override {
+    leaves_.push_back(Leaf{cover, probability});
     return true;
   }
 
@@ -181,11 +175,9 @@ Status OSharingEngine::RunParallel(const std::vector<WeightedMapping>& reps,
   // visitor — so rewind the production counting done while buffering:
   // an abort mid-replay must not over-report by the discarded tail.
   leaves_ = leaves_before;
-  for (auto& leaf : buffer.leaves()) {
+  for (const auto& leaf : buffer.leaves()) {
     leaves_++;
-    if (!visitor->OnLeafOwned(std::move(leaf.rows), leaf.probability)) {
-      return Status::OK();
-    }
+    if (!visitor->OnLeaf(leaf.cover, leaf.probability)) return Status::OK();
   }
   return Status::OK();
 }
@@ -213,7 +205,7 @@ Status OSharingEngine::RunSubtreeParallel(const EUnit& u, int depth,
     for (const auto& p : partitions) {
       if (p.unanswerable) {
         leaves_++;
-        out->OnLeaf({}, p.probability);
+        out->OnLeaf(algebra::DistinctCover(), p.probability);
         continue;
       }
       auto child = Execute(u, op.ValueOrDie(), p);
@@ -245,7 +237,7 @@ Status OSharingEngine::RunSubtreeParallel(const EUnit& u, int depth,
     const OpPartition& p = partitions[i];
     Branch& branch = branches[i];
     if (p.unanswerable) {
-      branch.buffer.OnLeaf({}, p.probability);
+      branch.buffer.OnLeaf(algebra::DistinctCover(), p.probability);
       branch.leaves = 1;
       return;
     }
@@ -282,7 +274,7 @@ Status OSharingEngine::RunSubtreeParallel(const EUnit& u, int depth,
     stats_ += branch.stats;
     leaves_ += branch.leaves;
     for (auto& leaf : branch.buffer.leaves()) {
-      out->OnLeafOwned(std::move(leaf.rows), leaf.probability);
+      out->leaves().push_back(std::move(leaf));
     }
   }
   return Status::OK();
@@ -769,7 +761,7 @@ Result<EUnit> OSharingEngine::Execute(const EUnit& u, const Candidate& op,
   return Status::Internal("unreachable");
 }
 
-Result<std::vector<Row>> OSharingEngine::AssembleLeafRows(const EUnit& u) {
+Result<algebra::DistinctCover> OSharingEngine::LeafCover(const EUnit& u) {
   URM_CHECK_EQ(u.groups.size(), 1u);
   auto column_of = [&u](const std::string& ref) -> Result<std::string> {
     auto it = u.resolved.find(ref);
@@ -790,7 +782,10 @@ Result<std::vector<Row>> OSharingEngine::AssembleLeafRows(const EUnit& u) {
     }
     auto rel = algebra::AggregateCover(cover, top.agg, column);
     if (!rel.ok()) return rel.status();
-    return rel.ValueOrDie().rows();
+    RelationPtr one_row = std::make_shared<const relational::Relation>(
+        std::move(rel).ValueOrDie());
+    return algebra::DistinctCover::Make(
+        {one_row}, {one_row->schema().column(0).name});
   }
   std::vector<std::string> out_cols;
   for (const auto& ref : info_.output_refs) {
@@ -798,10 +793,7 @@ Result<std::vector<Row>> OSharingEngine::AssembleLeafRows(const EUnit& u) {
     if (!col.ok()) return col.status();
     out_cols.push_back(std::move(col).ValueOrDie());
   }
-  std::vector<Row> rows;
-  auto schema = algebra::DistinctProjectCover(cover, out_cols, &rows);
-  if (!schema.ok()) return schema.status();
-  return rows;
+  return algebra::DistinctCover::Make(cover, out_cols);
 }
 
 Result<std::optional<bool>> OSharingEngine::EmitTerminalLeaf(
@@ -817,18 +809,19 @@ Result<std::optional<bool>> OSharingEngine::EmitTerminalLeaf(
     for (const auto& g : u.groups) {
       if (g.HasEmptyFactor()) {
         leaves_++;
-        return std::optional<bool>(visitor->OnLeaf({}, u.probability));
+        return std::optional<bool>(
+            visitor->OnLeaf(algebra::DistinctCover(), u.probability));
       }
     }
   }
   // Case 1: fully executed.
   if (u.pending_selections.empty() && u.pending_products.empty() &&
       u.next_top >= shape_.tops.size()) {
-    auto rows = AssembleLeafRows(u);
-    if (!rows.ok()) return rows.status();
+    auto cover = LeafCover(u);
+    if (!cover.ok()) return cover.status();
     leaves_++;
-    return std::optional<bool>(visitor->OnLeafOwned(
-        std::move(rows).ValueOrDie(), u.probability));
+    return std::optional<bool>(
+        visitor->OnLeaf(cover.ValueOrDie(), u.probability));
   }
   return std::optional<bool>();
 }
@@ -844,7 +837,9 @@ Result<bool> OSharingEngine::RunEUnit(const EUnit& u, LeafVisitor* visitor) {
   for (const auto& p : partitions) {
     if (p.unanswerable) {
       leaves_++;
-      if (!visitor->OnLeaf({}, p.probability)) return false;
+      if (!visitor->OnLeaf(algebra::DistinctCover(), p.probability)) {
+        return false;
+      }
       continue;
     }
     auto child = Execute(u, op.ValueOrDie(), p);

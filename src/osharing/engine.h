@@ -105,20 +105,17 @@ struct OSharingOptions {
 class LeafVisitor {
  public:
   virtual ~LeafVisitor() = default;
-  /// `rows` are the distinct target-level answer rows of one leaf
-  /// e-unit (layout = TargetQueryInfo::output_refs; empty = the θ
-  /// outcome), `probability` the leaf's mapping-partition mass.
-  /// Returning false aborts the traversal (top-k early termination).
-  virtual bool OnLeaf(const std::vector<relational::Row>& rows,
+  /// `cover` holds the distinct target-level answer rows of one leaf
+  /// e-unit, read off its group's final factors (columns =
+  /// TargetQueryInfo::output_refs, in order; an aggregate leaf is one
+  /// row; the empty cover is the θ outcome), `probability` the leaf's
+  /// mapping-partition mass. Visitors read the rows in place
+  /// (AnswerSet::AddCover) or build them (DistinctCover::AppendRows); a
+  /// copy of the cover shares its factors, so buffering one copies no
+  /// rows. Returning false aborts the traversal (top-k early
+  /// termination).
+  virtual bool OnLeaf(const algebra::DistinctCover& cover,
                       double probability) = 0;
-  /// Ownership-transferring variant, called when the producer is done
-  /// with the rows (freshly assembled leaves, buffered-replay hand-off).
-  /// Buffering visitors override it to move instead of copy; the
-  /// default forwards to OnLeaf.
-  virtual bool OnLeafOwned(std::vector<relational::Row>&& rows,
-                           double probability) {
-    return OnLeaf(rows, probability);
-  }
 };
 
 /// \brief Forwards each leaf to a primary visitor and a tee. The
@@ -130,20 +127,12 @@ class TeeVisitor : public LeafVisitor {
   TeeVisitor(LeafVisitor* primary, LeafVisitor* tee)
       : primary_(primary), tee_(tee) {}
 
-  bool OnLeaf(const std::vector<relational::Row>& rows,
+  bool OnLeaf(const algebra::DistinctCover& cover,
               double probability) override {
-    if (tee_ != nullptr && !tee_->OnLeaf(rows, probability)) {
+    if (tee_ != nullptr && !tee_->OnLeaf(cover, probability)) {
       tee_ = nullptr;
     }
-    return primary_->OnLeaf(rows, probability);
-  }
-
-  bool OnLeafOwned(std::vector<relational::Row>&& rows,
-                   double probability) override {
-    if (tee_ != nullptr && !tee_->OnLeaf(rows, probability)) {
-      tee_ = nullptr;
-    }
-    return primary_->OnLeafOwned(std::move(rows), probability);
+    return primary_->OnLeaf(cover, probability);
   }
 
  private:
@@ -238,7 +227,9 @@ class OSharingEngine {
                                  const mapping::Mapping& rep);
 
   Result<bool> RunEUnit(const EUnit& u, LeafVisitor* visitor);
-  Result<std::vector<relational::Row>> AssembleLeafRows(const EUnit& u);
+  /// The answer cover of a fully executed leaf `u`: COUNT / SUM, or the
+  /// distinct output rows, over its one group's factors.
+  Result<algebra::DistinctCover> LeafCover(const EUnit& u);
 
   /// Cases 1-2 of the u-trace: when `u` is a leaf (an empty factor's θ
   /// outcome, or fully executed), emits it to `visitor` — counting it

@@ -11,33 +11,15 @@ using baselines::WeightedMapping;
 
 namespace {
 
-/// Accumulates every leaf's rows into an AnswerSet.
+/// Accumulates every leaf's cover into an AnswerSet.
 class AccumulatingVisitor : public LeafVisitor {
  public:
   explicit AccumulatingVisitor(reformulation::AnswerSet* answers)
       : answers_(answers) {}
 
-  bool OnLeaf(const std::vector<relational::Row>& rows,
+  bool OnLeaf(const algebra::DistinctCover& cover,
               double probability) override {
-    if (rows.empty()) {
-      answers_->AddNull(probability);
-      return true;
-    }
-    for (const auto& row : rows) {
-      answers_->Add(row, probability);
-    }
-    return true;
-  }
-
-  bool OnLeafOwned(std::vector<relational::Row>&& rows,
-                   double probability) override {
-    if (rows.empty()) {
-      answers_->AddNull(probability);
-      return true;
-    }
-    for (auto& row : rows) {
-      answers_->Add(std::move(row), probability);
-    }
+    answers_->AddCover(cover, probability);
     return true;
   }
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
+#include "common/hash_util.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 
@@ -76,31 +78,53 @@ void AnswerSet::Add(Row&& row, double prob) {
   Accumulate(std::move(row), prob);
 }
 
-void AnswerSet::AddPartition(const relational::Relation& result,
-                             const std::vector<int>& columns, double prob) {
+void AnswerSet::AddCover(const algebra::DistinctCover& cover,
+                         const std::vector<int>& columns, double prob) {
+  if (cover.empty()) {
+    AddNull(prob);
+    return;
+  }
   // The stamp marks the tuples this partition has already counted, so a
   // repeated answer row adds nothing (set semantics per partition).
   ++stamp_;
-  for (const Row& row : result.rows()) {
-    size_t hash = relational::HashProjectedRow(row, columns);
+  const size_t null_hash = relational::Value::Null().Hash();
+  cover.ForEachRow([&](const algebra::DistinctCover::Cursor& row) {
+    size_t hash = relational::kRowHashSeed;
+    for (int c : columns) {
+      HashCombine(hash, c < 0 ? null_hash : row.hash(static_cast<size_t>(c)));
+    }
     size_t pos = Find(hash, [&](const Row& values) {
-      return relational::ProjectedRowEquals(values, row, columns);
+      if (values.size() != columns.size()) return false;
+      for (size_t i = 0; i < columns.size(); ++i) {
+        const int c = columns[i];
+        if (c < 0 ? !values[i].is_null()
+                  : !(values[i] == row.cell(static_cast<size_t>(c)))) {
+          return false;
+        }
+      }
+      return true;
     });
     if (pos < tuples_.size()) {
       if (meta_[pos].stamp != stamp_) {
         meta_[pos].stamp = stamp_;
         tuples_[pos].probability += prob;
       }
-      continue;
+      return;
     }
     Row values;
     values.reserve(columns.size());
     for (int c : columns) {
       values.push_back(c < 0 ? relational::Value::Null()
-                             : row[static_cast<size_t>(c)]);
+                             : row.cell(static_cast<size_t>(c)));
     }
     Insert(hash, std::move(values), prob);
-  }
+  });
+}
+
+void AnswerSet::AddCover(const algebra::DistinctCover& cover, double prob) {
+  std::vector<int> columns(cover.schema().num_columns());
+  std::iota(columns.begin(), columns.end(), 0);
+  AddCover(cover, columns, prob);
 }
 
 double AnswerSet::TotalProbability() const {

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "algebra/cover.h"
 #include "relational/relation.h"
 
 /// \file answer.h
@@ -47,15 +48,19 @@ class AnswerSet {
   /// As above; `row` is moved in only when it starts a new tuple.
   void Add(relational::Row&& row, double prob);
 
-  /// Accumulates one mapping partition's materialized `result`. The
-  /// answer row of a result row holds its values at `columns`, NULL
-  /// where an entry is negative. Each distinct answer row accumulates
-  /// `prob` once, however many result rows produce it (set semantics
-  /// within a partition); new tuples append in first-occurrence order.
-  /// Result rows are hashed and compared through `columns` in place, so
-  /// a row is copied only when it starts a new tuple.
-  void AddPartition(const relational::Relation& result,
-                    const std::vector<int>& columns, double prob);
+  /// Accumulates one mapping partition's answer, read off its source
+  /// query's `cover`: the answer row of a cover row holds its values at
+  /// `columns` (positions in the cover's schema), NULL where an entry is
+  /// negative. Each distinct answer row accumulates `prob` once, however
+  /// many cover rows produce it (set semantics within a partition); new
+  /// tuples append in first-occurrence order. A row is hashed by
+  /// chaining the cover's cached cell hashes (HashRow of the answer
+  /// row) and compared in place, so it is built only when it starts a
+  /// new tuple. An empty cover is the θ outcome.
+  void AddCover(const algebra::DistinctCover& cover,
+                const std::vector<int>& columns, double prob);
+  /// As above, reading every column of the cover in its own order.
+  void AddCover(const algebra::DistinctCover& cover, double prob);
 
   /// Accumulates onto the θ (empty result) outcome.
   void AddNull(double prob) { null_probability_ += prob; }
@@ -93,7 +98,7 @@ class AnswerSet {
   /// Index data of one tuple, parallel to tuples_.
   struct TupleMeta {
     size_t hash = 0;     ///< HashRow(values), reused on probe and growth
-    uint64_t stamp = 0;  ///< the last AddPartition call that counted it
+    uint64_t stamp = 0;  ///< the last AddCover call that counted it
   };
 
   /// Position of the tuple whose hash is `hash` and whose values satisfy
@@ -114,7 +119,7 @@ class AnswerSet {
   /// plus one; 0 marks an empty slot. Its size is zero or a power of
   /// two, at least twice the tuple count.
   std::vector<uint32_t> slots_;
-  uint64_t stamp_ = 0;  ///< AddPartition calls so far
+  uint64_t stamp_ = 0;  ///< AddCover calls so far
   double null_probability_ = 0.0;
 };
 

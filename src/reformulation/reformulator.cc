@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <unordered_set>
 
-#include "common/logging.h"
 #include "relational/schema.h"
 
 namespace urm {
@@ -192,11 +190,8 @@ Result<SourceQuery> Reformulator::Reformulate(
   return out;
 }
 
-namespace {
-
-/// The position in `result` of each layout column, -1 where unmapped.
 Result<std::vector<int>> LayoutColumns(
-    const relational::Relation& result,
+    const relational::RelationSchema& result,
     const std::vector<std::optional<std::string>>& layout) {
   std::vector<int> columns;
   columns.reserve(layout.size());
@@ -205,55 +200,13 @@ Result<std::vector<int>> LayoutColumns(
       columns.push_back(-1);
       continue;
     }
-    auto idx = result.schema().IndexOf(*col);
+    auto idx = result.IndexOf(*col);
     if (!idx.has_value()) {
       return Status::NotFound("layout column missing from result: " + *col);
     }
     columns.push_back(static_cast<int>(*idx));
   }
   return columns;
-}
-
-}  // namespace
-
-Result<std::vector<relational::Row>> AssembleRows(
-    const relational::Relation& result,
-    const std::vector<std::optional<std::string>>& layout) {
-  auto layout_columns = LayoutColumns(result, layout);
-  if (!layout_columns.ok()) return layout_columns.status();
-  const std::vector<int>& columns = layout_columns.ValueOrDie();
-
-  // Set semantics within one partition: each distinct assembled row
-  // appears once. Each row is appended, then dropped again if the set
-  // already holds an equal one.
-  std::vector<relational::Row> rows;
-  std::unordered_set<size_t, relational::RowRefHash, relational::RowRefEq>
-      seen(16, relational::RowRefHash{&rows}, relational::RowRefEq{&rows});
-  for (const relational::Row& row : result.rows()) {
-    relational::Row assembled;
-    assembled.reserve(columns.size());
-    for (int idx : columns) {
-      assembled.push_back(idx < 0 ? relational::Value::Null()
-                                  : row[static_cast<size_t>(idx)]);
-    }
-    rows.push_back(std::move(assembled));
-    if (!seen.insert(rows.size() - 1).second) rows.pop_back();
-  }
-  return rows;
-}
-
-Status AssembleAnswers(const relational::Relation& result,
-                       const std::vector<std::optional<std::string>>& layout,
-                       double probability, AnswerSet* answers) {
-  URM_CHECK(answers != nullptr);
-  if (result.empty()) {
-    answers->AddNull(probability);
-    return Status::OK();
-  }
-  auto columns = LayoutColumns(result, layout);
-  if (!columns.ok()) return columns.status();
-  answers->AddPartition(result, columns.ValueOrDie(), probability);
-  return Status::OK();
 }
 
 }  // namespace reformulation

@@ -60,20 +60,12 @@ class Reformulator {
   matching::SchemaDef source_schema_;
 };
 
-/// Maps each result row through `layout` (unmapped outputs become NULL)
-/// and de-duplicates — the target-level answer rows of one mapping
-/// partition, in first-occurrence order.
-Result<std::vector<relational::Row>> AssembleRows(
-    const relational::Relation& result,
+/// The position in `result` (a source query's cover schema) of each
+/// layout column, -1 where the output is unmapped: the `columns` that
+/// AnswerSet::AddCover reads a partition's answer rows through.
+Result<std::vector<int>> LayoutColumns(
+    const relational::RelationSchema& result,
     const std::vector<std::optional<std::string>>& layout);
-
-/// Converts a materialized source result into target-level answers:
-/// each distinct row AssembleRows would return accumulates `probability`
-/// in `answers`, through AnswerSet::AddPartition. An empty result
-/// contributes the θ outcome instead.
-Status AssembleAnswers(const relational::Relation& result,
-                       const std::vector<std::optional<std::string>>& layout,
-                       double probability, AnswerSet* answers);
 
 }  // namespace reformulation
 }  // namespace urm

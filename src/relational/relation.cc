@@ -8,10 +8,6 @@
 namespace urm {
 namespace relational {
 
-namespace {
-constexpr size_t kRowHashSeed = 0x51ed270b;
-}  // namespace
-
 size_t HashRow(const Row& row) {
   size_t seed = kRowHashSeed;
   for (const Value& v : row) {
@@ -24,28 +20,6 @@ bool RowsEqual(const Row& a, const Row& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     if (!(a[i] == b[i])) return false;
-  }
-  return true;
-}
-
-size_t HashProjectedRow(const Row& row, const std::vector<int>& columns) {
-  size_t seed = kRowHashSeed;
-  for (int c : columns) {
-    HashCombine(seed, c < 0 ? Value::Null().Hash()
-                            : row[static_cast<size_t>(c)].Hash());
-  }
-  return seed;
-}
-
-bool ProjectedRowEquals(const Row& projected, const Row& row,
-                        const std::vector<int>& columns) {
-  if (projected.size() != columns.size()) return false;
-  for (size_t i = 0; i < columns.size(); ++i) {
-    int c = columns[i];
-    if (c < 0 ? !projected[i].is_null()
-              : !(projected[i] == row[static_cast<size_t>(c)])) {
-      return false;
-    }
   }
   return true;
 }

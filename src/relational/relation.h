@@ -156,20 +156,16 @@ using RelationPtr = std::shared_ptr<const Relation>;
 /// Relation::ApproxBytes; also used to weigh cached answer sets).
 size_t ApproxRowBytes(const Row& row);
 
+/// The seed HashRow starts from: it folds each cell's Value::Hash into
+/// it with HashCombine, in order. Code that caches cell hashes chains
+/// them the same way to get HashRow of the row they form.
+inline constexpr size_t kRowHashSeed = 0x51ed270b;
+
 /// Hash of a full row, consistent with row equality via Value::operator==.
 size_t HashRow(const Row& row);
 
 /// Row equality via Value::operator==.
 bool RowsEqual(const Row& a, const Row& b);
-
-/// HashRow of the row whose i-th value is row[columns[i]], or NULL where
-/// columns[i] is negative: a projected row's hash, without building it.
-size_t HashProjectedRow(const Row& row, const std::vector<int>& columns);
-
-/// RowsEqual(projected, <row projected through columns>), without
-/// building the projection (same NULL rule as HashProjectedRow).
-bool ProjectedRowEquals(const Row& projected, const Row& row,
-                        const std::vector<int>& columns);
 
 /// Hash and equality of rows named by their position in `*rows`: the
 /// functors of an unordered_set<size_t> of positions, which keeps

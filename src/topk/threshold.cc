@@ -10,7 +10,6 @@ namespace urm {
 namespace topk {
 
 using baselines::WeightedMapping;
-using relational::Row;
 
 namespace {
 
@@ -21,10 +20,9 @@ class ThresholdSink : public osharing::LeafVisitor {
   ThresholdSink(double threshold, double total_mass)
       : threshold_(threshold), remaining_(total_mass) {}
 
-  bool OnLeaf(const std::vector<Row>& rows, double probability) override {
-    for (const Row& row : rows) {
-      seen_.Add(row, probability);
-    }
+  bool OnLeaf(const algebra::DistinctCover& cover,
+              double probability) override {
+    seen_.AddCover(cover, probability);
     remaining_ -= probability;
     if (remaining_ < 0.0) remaining_ = 0.0;
     if (CanStop()) {

@@ -11,7 +11,6 @@ namespace topk {
 
 using baselines::WeightedMapping;
 using reformulation::AnswerTuple;
-using relational::Row;
 
 namespace {
 
@@ -22,10 +21,9 @@ class TopKSink : public osharing::LeafVisitor {
  public:
   TopKSink(size_t k, double total_mass) : k_(k), remaining_(total_mass) {}
 
-  bool OnLeaf(const std::vector<Row>& rows, double probability) override {
-    for (const Row& row : rows) {
-      seen_.Add(row, probability);
-    }
+  bool OnLeaf(const algebra::DistinctCover& cover,
+              double probability) override {
+    seen_.AddCover(cover, probability);
     remaining_ -= probability;
     if (remaining_ < 0.0) remaining_ = 0.0;
     if (CanStop()) {

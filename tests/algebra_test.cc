@@ -334,6 +334,27 @@ TEST(EvaluateTest, DistinctProjectSplitsAcrossProduct) {
   EXPECT_EQ(got.rows(), expected.rows());
   EXPECT_EQ(stats.operators_executed, 1u);  // the projection
   EXPECT_EQ(stats.tuples_produced, 0u);
+
+  // The same two cases through Make + AppendRows over the factors.
+  const std::vector<relational::RelationPtr> factors = {
+      Materialize(MakeScan("r", "r1"), catalog),
+      Materialize(MakeScan("s", "s1"), catalog),
+      Materialize(MakeScan("t", "t1"), catalog)};
+  auto two = DistinctCover::Make({factors[0], factors[1]}, {"r1.v"});
+  ASSERT_TRUE(two.ok());
+  EXPECT_EQ(two.ValueOrDie().num_rows(), 2u);
+  std::vector<relational::Row> two_rows;
+  two.ValueOrDie().AppendRows(&two_rows);
+  EXPECT_EQ(two_rows, rel.ValueOrDie()->rows());
+  auto three = DistinctCover::Make(factors, cols);
+  ASSERT_TRUE(three.ok());
+  ASSERT_EQ(three.ValueOrDie().schema().num_columns(), 2u);
+  EXPECT_EQ(three.ValueOrDie().schema().column(0).name, "t1.x");
+  EXPECT_EQ(three.ValueOrDie().schema().column(1).name, "r1.v");
+  std::vector<relational::Row> three_rows;
+  three.ValueOrDie().AppendRows(&three_rows);
+  EXPECT_EQ(three_rows, expected.rows());
+  EXPECT_FALSE(DistinctCover::Make(factors, {"t1.nope"}).ok());
 }
 
 TEST(EvaluateTest, DistinctProjectEmptySideYieldsNothing) {
@@ -346,6 +367,96 @@ TEST(EvaluateTest, DistinctProjectEmptySideYieldsNothing) {
   auto rel = Evaluate(p, catalog);
   ASSERT_TRUE(rel.ok());
   EXPECT_TRUE(rel.ValueOrDie()->empty());
+}
+
+void ExpectSameStats(const EvalStats& a, const EvalStats& b) {
+  EXPECT_EQ(a.operators_executed, b.operators_executed);
+  EXPECT_EQ(a.scans, b.scans);
+  EXPECT_EQ(a.tuples_produced, b.tuples_produced);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.cache_bytes_saved, b.cache_bytes_saved);
+  EXPECT_EQ(a.store_hits, b.store_hits);
+  EXPECT_EQ(a.columnar_scans, b.columnar_scans);
+  EXPECT_EQ(a.row_scans, b.row_scans);
+  EXPECT_EQ(a.bytes_scanned, b.bytes_scanned);
+  EXPECT_EQ(a.logical_bytes_scanned, b.logical_bytes_scanned);
+}
+
+/// Evaluated with `reads`, `plan` emits exactly `columns`, in that
+/// order, holding the rows (same order) and the statistics of the
+/// evaluation without a read set.
+void ExpectReadColumns(const PlanPtr& plan, const ReadSet& reads,
+                       const std::vector<std::string>& columns) {
+  Catalog catalog = SmallCatalog();
+  EvalStats full_stats, read_stats;
+  EvalContext ctx;
+  ctx.catalog = &catalog;
+  ctx.stats = &full_stats;
+  auto full = Evaluate(plan, ctx);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ctx.stats = &read_stats;
+  ctx.reads = &reads;
+  auto read = Evaluate(plan, ctx);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  const Relation& got = *read.ValueOrDie();
+  ASSERT_EQ(got.schema().num_columns(), columns.size());
+  for (size_t i = 0; i < columns.size(); ++i) {
+    EXPECT_EQ(got.schema().column(i).name, columns[i]);
+  }
+  auto expected = full.ValueOrDie()->Project(columns);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_GT(got.num_rows(), 0u);
+  EXPECT_EQ(got.rows(), expected.ValueOrDie().rows());
+  ExpectSameStats(read_stats, full_stats);
+}
+
+TEST(EvaluateTest, ReadSetPrunesHashJoinColumns) {
+  PlanPtr join = MakeSelect(
+      MakeProduct(MakeScan("r", "r1"), MakeScan("s", "s1")),
+      Predicate::AttrCmpAttr("r1.id", CmpOp::kEq, "s1.id"));
+  ExpectReadColumns(join, {"s1.w", "r1.id", "s1.id"},
+                    {"r1.id", "s1.id", "s1.w"});
+  // An unqualified name keeps every column it could resolve to.
+  ExpectReadColumns(join, {"id"}, {"r1.id", "s1.id"});
+}
+
+TEST(EvaluateTest, ReadSetPrunesProductColumns) {
+  // A non-equi predicate: the product is materialized, then filtered.
+  PlanPtr filtered = MakeSelect(
+      MakeProduct(MakeScan("r", "r1"), MakeScan("s", "s1")),
+      Predicate::AttrCmpAttr("s1.w", CmpOp::kLt, "r1.v"));
+  ExpectReadColumns(filtered, {"s1.w", "r1.v", "r1.id"},
+                    {"r1.id", "r1.v", "s1.w"});
+  ExpectReadColumns(MakeProduct(MakeScan("r", "r1"), MakeScan("t", "t1")),
+                    {"t1.x"}, {"t1.x"});
+}
+
+TEST(EvaluateTest, SourceQueryCoverMatchesEvaluate) {
+  Catalog catalog = SmallCatalog();
+  PlanPtr join = MakeSelect(
+      MakeProduct(MakeScan("r", "r1"), MakeScan("s", "s1")),
+      Predicate::AttrCmpAttr("r1.id", CmpOp::kEq, "s1.id"));
+  for (const PlanPtr& plan :
+       {MakeDistinct(MakeProject(MakeProduct(join, MakeScan("t", "t1")),
+                                 {"t1.x", "s1.w"})),
+        MakeAggregate(join, AggKind::kCount)}) {
+    EvalStats cover_stats, rel_stats;
+    EvalContext ctx;
+    ctx.catalog = &catalog;
+    ctx.stats = &cover_stats;
+    auto cover = EvaluateSourceQuery(plan, ctx);
+    ASSERT_TRUE(cover.ok()) << cover.status().ToString();
+    ctx.stats = &rel_stats;
+    auto rel = Evaluate(plan, ctx);
+    ASSERT_TRUE(rel.ok());
+    std::vector<relational::Row> rows;
+    cover.ValueOrDie().AppendRows(&rows);
+    EXPECT_EQ(rows, rel.ValueOrDie()->rows());
+    EXPECT_EQ(cover.ValueOrDie().schema().ToString(),
+              rel.ValueOrDie()->schema().ToString());
+    ExpectSameStats(cover_stats, rel_stats);
+  }
 }
 
 TEST(EvaluateTest, CacheMemoizesSubplans) {

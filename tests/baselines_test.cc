@@ -164,6 +164,42 @@ TEST_F(BaselinesTest, UnanswerableMappingContributesNullProbability) {
   EXPECT_EQ(result.ValueOrDie().answers.size(), 1u);
 }
 
+TEST_F(BaselinesTest, EMqoSharedJoinServesPlansReadingDifferentColumns) {
+  // Two mappings agree on the join columns but match Person.addr to
+  // different customer columns: their source plans share the join
+  // σ(customer × c_order), which e-MQO memoizes, and read different
+  // columns above it.
+  auto mapping = [](const std::string& addr, double probability) {
+    mapping::Mapping m;
+    EXPECT_TRUE(m.Add("Person.pname", "customer.cid").ok());
+    EXPECT_TRUE(m.Add("Person.addr", addr).ok());
+    EXPECT_TRUE(m.Add("Order.sname", "c_order.ocid").ok());
+    m.set_probability(probability);
+    return m;
+  };
+  const std::vector<mapping::Mapping> mappings = {
+      mapping("customer.oaddr", 0.6), mapping("customer.haddr", 0.4)};
+  PlanPtr q = MakeSelect(
+      algebra::MakeProduct(MakeScan("Person", "person"),
+                           MakeScan("Order", "order")),
+      Predicate::AttrCmpAttr("person.pname", CmpOp::kEq, "order.sname"));
+  auto info = Analyze(MakeProject(q, {"person.addr"}));
+  reformulation::Reformulator reformulator(ex_.source_schema);
+  auto basic =
+      RunBasic(info, AsWeighted(mappings), ex_.catalog, reformulator);
+  auto emqo = RunEMqo(info, AsWeighted(mappings), ex_.catalog, reformulator);
+  ASSERT_TRUE(basic.ok()) << basic.status().ToString();
+  ASSERT_TRUE(emqo.ok()) << emqo.status().ToString();
+  EXPECT_EQ(emqo.ValueOrDie().partitions, 2u);
+  EXPECT_GE(emqo.ValueOrDie().stats.cache_hits, 1u);  // the shared join
+  // Customers t1 and t3 have orders: oaddr {aaa}, haddr {hk, aaa}.
+  const auto& answers = emqo.ValueOrDie().answers;
+  EXPECT_EQ(answers.size(), 2u);
+  EXPECT_NEAR(ProbOf(answers, "aaa"), 1.0, 1e-12);
+  EXPECT_NEAR(ProbOf(answers, "hk"), 0.4, 1e-12);
+  EXPECT_TRUE(basic.ValueOrDie().answers.ApproxEquals(answers));
+}
+
 TEST(MqoTest, SharedSubexpressionsDetected) {
   auto ex = testing::MakePaperExample();
   PlanPtr scan = MakeScan("customer", "c");

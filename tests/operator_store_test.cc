@@ -283,8 +283,11 @@ class RecordingVisitor : public LeafVisitor {
     double probability = 0.0;
   };
 
-  bool OnLeaf(const std::vector<Row>& rows, double probability) override {
-    leaves.push_back(Leaf{rows, probability});
+  bool OnLeaf(const algebra::DistinctCover& cover,
+              double probability) override {
+    Leaf leaf{{}, probability};
+    cover.AppendRows(&leaf.rows);
+    leaves.push_back(std::move(leaf));
     return true;
   }
 

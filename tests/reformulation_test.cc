@@ -228,34 +228,6 @@ TEST(AnswerSetTest, TopKAndApproxEquals) {
   EXPECT_FALSE(a.ApproxEquals(b));
 }
 
-TEST(AssembleAnswersTest, InsertsNullsAndDeduplicates) {
-  relational::RelationSchema schema;
-  ASSERT_TRUE(schema.AddColumn({"c.x", relational::ValueType::kString}).ok());
-  relational::Relation rel(schema);
-  ASSERT_TRUE(rel.AddRow({"v"}).ok());
-  ASSERT_TRUE(rel.AddRow({"v"}).ok());  // duplicate collapses
-  AnswerSet answers({"a", "b"});
-  std::vector<std::optional<std::string>> layout = {std::nullopt, "c.x"};
-  ASSERT_TRUE(AssembleAnswers(rel, layout, 0.5, &answers).ok());
-  ASSERT_EQ(answers.size(), 1u);
-  auto t = answers.Sorted()[0];
-  EXPECT_TRUE(t.values[0].is_null());
-  EXPECT_EQ(t.values[1].ToString(), "v");
-  EXPECT_NEAR(t.probability, 0.5, 1e-12);
-}
-
-TEST(AssembleAnswersTest, EmptyResultBecomesTheta) {
-  relational::RelationSchema schema;
-  ASSERT_TRUE(schema.AddColumn({"c.x", relational::ValueType::kString}).ok());
-  relational::Relation rel(schema);
-  AnswerSet answers({"a"});
-  ASSERT_TRUE(AssembleAnswers(rel, {std::optional<std::string>("c.x")}, 0.3,
-                              &answers)
-                  .ok());
-  EXPECT_EQ(answers.size(), 0u);
-  EXPECT_NEAR(answers.null_probability(), 0.3, 1e-12);
-}
-
 /// A relation with `arity` columns r.c0, r.c1, ... holding `rows`.
 relational::Relation MakeRelation(const std::vector<relational::Row>& rows,
                                   size_t arity) {
@@ -271,20 +243,75 @@ relational::Relation MakeRelation(const std::vector<relational::Row>& rows,
   return rel;
 }
 
+/// The one-factor cover of `rows` (MakeRelation) over all its columns,
+/// or over the first `width` of them.
+algebra::DistinctCover OneFactorCover(const std::vector<relational::Row>& rows,
+                                      size_t arity, size_t width) {
+  std::vector<std::string> columns;
+  for (size_t c = 0; c < width; ++c) {
+    columns.push_back("r.c" + std::to_string(c));
+  }
+  auto cover = algebra::DistinctCover::Make(
+      {std::make_shared<const relational::Relation>(MakeRelation(rows, arity))},
+      columns);
+  EXPECT_TRUE(cover.ok()) << cover.status().ToString();
+  return std::move(cover).ValueOrDie();
+}
+
+algebra::DistinctCover OneFactorCover(const std::vector<relational::Row>& rows,
+                                      size_t arity) {
+  return OneFactorCover(rows, arity, arity);
+}
+
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-TEST(AnswerSetTest, PartitionCountsARepeatedRowOnce) {
+TEST(AnswerSetTest, CoverLayoutInsertsNullsAndDeduplicates) {
+  relational::RelationSchema schema;
+  ASSERT_TRUE(schema.AddColumn({"c.x", relational::ValueType::kString}).ok());
+  relational::Relation rel(schema);
+  ASSERT_TRUE(rel.AddRow({"v"}).ok());
+  ASSERT_TRUE(rel.AddRow({"v"}).ok());  // duplicate collapses
+  auto cover = algebra::DistinctCover::Make(
+      {std::make_shared<const relational::Relation>(rel)}, {"c.x"});
+  ASSERT_TRUE(cover.ok());
+  std::vector<std::optional<std::string>> layout = {std::nullopt, "c.x"};
+  auto columns = LayoutColumns(cover.ValueOrDie().schema(), layout);
+  ASSERT_TRUE(columns.ok());
+  EXPECT_EQ(columns.ValueOrDie(), (std::vector<int>{-1, 0}));
+  EXPECT_FALSE(
+      LayoutColumns(cover.ValueOrDie().schema(), {std::string("c.y")}).ok());
+  AnswerSet answers({"a", "b"});
+  answers.AddCover(cover.ValueOrDie(), columns.ValueOrDie(), 0.5);
+  ASSERT_EQ(answers.size(), 1u);
+  auto t = answers.Sorted()[0];
+  EXPECT_TRUE(t.values[0].is_null());
+  EXPECT_EQ(t.values[1].ToString(), "v");
+  EXPECT_NEAR(t.probability, 0.5, 1e-12);
+}
+
+TEST(AnswerSetTest, EmptyCoverIsTheta) {
+  AnswerSet answers({"a"});
+  answers.AddCover(OneFactorCover({}, 1), {0}, 0.25);
+  answers.AddCover(algebra::DistinctCover(), 0.125);
+  EXPECT_EQ(answers.size(), 0u);
+  EXPECT_EQ(answers.null_probability(), 0.375);
+}
+
+TEST(AnswerSetTest, CoverCountsARepeatedRowOnce) {
   using relational::Value;
   AnswerSet answers({"x"});
-  answers.AddPartition(MakeRelation({{"a"}, {"b"}, {"a"}, {"a"}}, 1), {0},
-                       0.25);
+  // Column 1 differs, so the cover keeps all four rows; the layout
+  // reads column 0 only, repeating "a".
+  answers.AddCover(
+      OneFactorCover({{"a", "1"}, {"b", "2"}, {"a", "3"}, {"a", "4"}}, 2),
+      {0}, 0.25);
   ASSERT_EQ(answers.size(), 2u);
   EXPECT_EQ(answers.tuples()[0].probability, 0.25);
   EXPECT_EQ(answers.tuples()[1].probability, 0.25);
   // Across partitions the same row accumulates once per partition.
-  answers.AddPartition(MakeRelation({{"c"}, {"a"}, {"a"}}, 1), {0}, 0.5);
+  answers.AddCover(OneFactorCover({{"c"}, {"a"}, {"a"}}, 1), {0}, 0.5);
   ASSERT_EQ(answers.size(), 3u);
   EXPECT_EQ(answers.tuples()[0].values[0].ToString(), "a");
   EXPECT_EQ(answers.tuples()[0].probability, 0.75);
@@ -296,12 +323,12 @@ TEST(AnswerSetTest, PartitionCountsARepeatedRowOnce) {
   EXPECT_EQ(answers.tuples()[0].probability, 1.0);
 }
 
-TEST(AnswerSetTest, PartitionProjectsThroughColumns) {
+TEST(AnswerSetTest, CoverProjectsThroughColumns) {
   using relational::Value;
   // Column 1 is dropped; a negative entry yields NULL.
   AnswerSet answers({"n", "y", "x"});
-  answers.AddPartition(
-      MakeRelation({{"a", "p", "u"}, {"a", "q", "u"}, {"b", "p", "u"}}, 3),
+  answers.AddCover(
+      OneFactorCover({{"a", "p", "u"}, {"a", "q", "u"}, {"b", "p", "u"}}, 3),
       {-1, 2, 0}, 0.5);
   ASSERT_EQ(answers.size(), 2u);
   const auto& first = answers.tuples()[0].values;
@@ -322,8 +349,10 @@ TEST(AnswerSetTest, IntAndDoubleMergeNaNNever) {
   AnswerSet answers({"x"});
   answers.Add({Value(2)}, 0.25);
   answers.Add({Value(2.0)}, 0.25);
-  answers.AddPartition(MakeRelation({{Value(int64_t{2})}, {Value(2.0)}}, 1),
-                       {0}, 0.125);
+  // One column "2" plus a distinguishing one: the cover keeps both rows.
+  answers.AddCover(
+      OneFactorCover({{Value(int64_t{2}), "a"}, {Value(2.0), "b"}}, 2), {0},
+      0.125);
   ASSERT_EQ(answers.size(), 1u);
   EXPECT_EQ(answers.tuples()[0].probability, 0.625);
 
@@ -331,7 +360,7 @@ TEST(AnswerSetTest, IntAndDoubleMergeNaNNever) {
   AnswerSet with_nan({"x"});
   with_nan.Add({nan}, 0.25);
   with_nan.Add({nan}, 0.25);
-  with_nan.AddPartition(MakeRelation({{nan}, {nan}}, 1), {0}, 0.25);
+  with_nan.AddCover(OneFactorCover({{nan}, {nan}}, 1), {0}, 0.25);
   EXPECT_EQ(with_nan.size(), 4u);
   // ApproxEquals: a NaN row has no partner, not even in a copy.
   AnswerSet copy = with_nan;
@@ -359,16 +388,21 @@ TEST(AnswerSetTest, ApproxEqualsIgnoresOrderButNotMass) {
 }
 
 TEST(AnswerSetTest, GrowsPastOneHundredThousandTuples) {
+  using relational::Row;
   using relational::Value;
   constexpr int kTuples = 150000;
   AnswerSet answers({"x", "y"});
+  std::vector<Row> rows;
   for (int i = 0; i < kTuples; ++i) {
-    answers.Add({Value(i), Value("s" + std::to_string(i % 97))}, 0.5);
+    rows.push_back({Value(i), Value("s" + std::to_string(i % 97))});
   }
+  answers.AddCover(OneFactorCover(rows, 2), {0, 1}, 0.5);
   ASSERT_EQ(answers.size(), static_cast<size_t>(kTuples));
+  rows.clear();
   for (int i = kTuples - 1; i >= 0; i -= 3) {
-    answers.Add({Value(i * 1.0), Value("s" + std::to_string(i % 97))}, 0.25);
+    rows.push_back({Value(i * 1.0), Value("s" + std::to_string(i % 97))});
   }
+  answers.AddCover(OneFactorCover(rows, 2), {0, 1}, 0.25);
   ASSERT_EQ(answers.size(), static_cast<size_t>(kTuples));
   for (int i = 0; i < kTuples; ++i) {
     const auto& t = answers.tuples()[static_cast<size_t>(i)];
@@ -378,13 +412,15 @@ TEST(AnswerSetTest, GrowsPastOneHundredThousandTuples) {
 }
 
 TEST(AnswerSetTest, CopiesAndMovesKeepAWorkingIndex) {
+  using relational::Row;
   using relational::Value;
+  std::vector<Row> rows;
+  for (int i = 0; i < 1000; ++i) rows.push_back({Value(i)});
   AnswerSet original({"x"});
-  for (int i = 0; i < 1000; ++i) original.Add({Value(i)}, 0.5);
+  original.AddCover(OneFactorCover(rows, 1), {0}, 0.5);
 
   AnswerSet copy = original;
-  copy.Add({Value(10)}, 0.25);
-  copy.Add({Value(5000)}, 0.25);
+  copy.AddCover(OneFactorCover({{Value(10)}, {Value(5000)}}, 1), {0}, 0.25);
   EXPECT_EQ(copy.size(), 1001u);
   EXPECT_EQ(copy.tuples()[10].probability, 0.75);
   EXPECT_EQ(original.size(), 1000u);
@@ -393,14 +429,13 @@ TEST(AnswerSetTest, CopiesAndMovesKeepAWorkingIndex) {
   AnswerSet assigned({"x"});
   assigned.Add({Value("other")}, 1.0);
   assigned = original;
-  assigned.Add({Value(999)}, 0.25);
+  assigned.AddCover(OneFactorCover({{Value(999)}}, 1), {0}, 0.25);
   EXPECT_EQ(assigned.size(), 1000u);
   EXPECT_EQ(assigned.tuples()[999].probability, 0.75);
   EXPECT_EQ(original.tuples()[999].probability, 0.5);
 
   AnswerSet moved = std::move(copy);
-  moved.Add({Value(5000)}, 0.25);
-  moved.Add({Value(20)}, 0.25);
+  moved.AddCover(OneFactorCover({{Value(5000)}, {Value(20)}}, 1), {0}, 0.25);
   EXPECT_EQ(moved.size(), 1001u);
   EXPECT_EQ(moved.tuples()[1000].probability, 0.5);
   EXPECT_EQ(moved.tuples()[20].probability, 0.75);
@@ -426,7 +461,7 @@ TEST(AnswerSetTest, MatchesLinearScanReference) {
     }
     ref->push_back(Ref{row, p});
   };
-  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     auto value = [&]() -> Value {
@@ -440,7 +475,7 @@ TEST(AnswerSetTest, MatchesLinearScanReference) {
         case 3:
           return Value(rng.Uniform(0, 5) + 0.5);
         case 4:
-          return rng.Bernoulli(0.05) ? nan : Value(-0.0);
+          return Value(rng.Bernoulli(0.05) ? nan : -0.0);
         default:
           return Value(std::string(1, "abcd"[rng.Uniform(0, 3)]));
       }
@@ -459,7 +494,7 @@ TEST(AnswerSetTest, MatchesLinearScanReference) {
         ref_add(&ref, row, p);
         continue;
       }
-      // Source rows are one column wider than the answer; the layout
+      // Cover rows are one column wider than the answer; the layout
       // picks a random subset (with repeats and NULLs), so projection
       // itself creates duplicates.
       std::vector<int> columns;
@@ -478,7 +513,7 @@ TEST(AnswerSetTest, MatchesLinearScanReference) {
         for (size_t c = 0; c <= arity; ++c) row.push_back(value());
         rows.push_back(std::move(row));
       }
-      got.AddPartition(MakeRelation(rows, arity + 1), columns, p);
+      got.AddCover(OneFactorCover(rows, arity + 1), columns, p);
       std::vector<Row> distinct;
       for (const Row& row : rows) {
         Row projected;
@@ -511,20 +546,207 @@ TEST(AnswerSetTest, MatchesLinearScanReference) {
   }
 }
 
-TEST(AssembleRowsTest, DeduplicatesInFirstOccurrenceOrder) {
+TEST(AnswerSetTest, CoverLayoutRowsKeepFirstOccurrenceOrder) {
+  using relational::Row;
   using relational::Value;
   const Value nan(std::numeric_limits<double>::quiet_NaN());
-  relational::Relation rel = MakeRelation(
+  auto cover = OneFactorCover(
       {{"b", "1"}, {"a", "2"}, {"b", "3"}, {nan, "4"}, {"a", "5"}, {nan, "6"}},
-      2);
-  auto rows = AssembleRows(rel, {std::optional<std::string>("r.c0")});
-  ASSERT_TRUE(rows.ok());
-  const auto& got = rows.ValueOrDie();
-  ASSERT_EQ(got.size(), 4u);  // NaN rows never collapse
-  EXPECT_EQ(got[0][0].ToString(), "b");
-  EXPECT_EQ(got[1][0].ToString(), "a");
-  EXPECT_TRUE(std::isnan(got[2][0].AsDouble()));
-  EXPECT_TRUE(std::isnan(got[3][0].AsDouble()));
+      2, 1);
+  std::vector<Row> rows;
+  cover.AppendRows(&rows);
+  AnswerSet answers({"x"});
+  answers.AddCover(cover, {0}, 0.5);
+  ASSERT_EQ(rows.size(), 4u);  // NaN rows never collapse
+  ASSERT_EQ(answers.size(), 4u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i][0].ToString(), answers.tuples()[i].values[0].ToString());
+  }
+  EXPECT_EQ(rows[0][0].ToString(), "b");
+  EXPECT_EQ(rows[1][0].ToString(), "a");
+  EXPECT_TRUE(std::isnan(rows[2][0].AsDouble()));
+  EXPECT_TRUE(std::isnan(rows[3][0].AsDouble()));
+}
+
+/// Seeded differential test over random covers: AddCover against a
+/// reference that materializes the product, projects it, dedups each
+/// partition through its layout and accumulates by linear scan. Tuple
+/// order, value types and probability bits must match, and AppendRows
+/// must equal Project + Distinct of the materialized product.
+TEST(AnswerSetTest, CoverMatchesMaterializedReference) {
+  using relational::Relation;
+  using relational::RelationPtr;
+  using relational::Row;
+  using relational::Value;
+  struct Ref {
+    Row values;
+    double probability;
+  };
+  auto same_row = [](const Row& a, const Row& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t c = 0; c < a.size(); ++c) {
+      if (a[c].ToString() != b[c].ToString() || a[c].type() != b[c].type()) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    // NaN equals nothing, itself included, so Distinct over a
+    // materialized product keeps every pairing of a NaN row with the
+    // other factors' rows, repeats included, where the cover pairs
+    // distinct picks. NaN is drawn for one-factor covers only, where
+    // the two agree.
+    bool allow_nan = false;
+    auto value = [&]() -> Value {
+      switch (rng.Uniform(0, 5)) {
+        case 0:
+          return Value(rng.Uniform(0, 3));
+        case 1:
+          return Value(static_cast<double>(rng.Uniform(0, 3)));
+        case 2:
+          return Value(rng.Uniform(0, 3) + 0.5);
+        case 3:
+          return allow_nan && rng.Bernoulli(0.2) ? nan : Value(2);
+        default:
+          return Value(std::string(1, "abc"[rng.Uniform(0, 2)]));
+      }
+    };
+    AnswerSet got({"x"});
+    std::vector<Ref> ref;
+    double ref_null = 0.0;
+    const int partitions = static_cast<int>(rng.Uniform(1, 12));
+    for (int part = 0; part < partitions; ++part) {
+      // 1-3 factors f<i> with 1-3 columns each and repeated rows.
+      const size_t num_factors = static_cast<size_t>(rng.Uniform(1, 3));
+      allow_nan = num_factors == 1;
+      std::vector<RelationPtr> factors;
+      std::vector<std::string> all_columns;
+      // One factor (when there are several) may hold no projected
+      // column; it is sometimes empty.
+      const size_t bystander =
+          num_factors > 1 && rng.Bernoulli(0.5)
+              ? static_cast<size_t>(rng.Uniform(0, num_factors - 1))
+              : num_factors;
+      for (size_t f = 0; f < num_factors; ++f) {
+        relational::RelationSchema schema;
+        const size_t arity = static_cast<size_t>(rng.Uniform(1, 3));
+        for (size_t c = 0; c < arity; ++c) {
+          std::string name = "f" + std::to_string(f) + ".c" + std::to_string(c);
+          ASSERT_TRUE(
+              schema.AddColumn({name, relational::ValueType::kString}).ok());
+          if (f != bystander) all_columns.push_back(name);
+        }
+        std::vector<Row> rows;
+        const int n = f == bystander && rng.Bernoulli(0.3)
+                          ? 0
+                          : static_cast<int>(rng.Uniform(0, 6));
+        for (int i = 0; i < n; ++i) {
+          if (!rows.empty() && rng.Bernoulli(0.3)) {
+            rows.push_back(rows[static_cast<size_t>(
+                rng.Uniform(0, static_cast<int64_t>(rows.size()) - 1))]);
+            continue;
+          }
+          Row row;
+          for (size_t c = 0; c < arity; ++c) row.push_back(value());
+          rows.push_back(std::move(row));
+        }
+        factors.push_back(std::make_shared<const Relation>(
+            Relation(std::move(schema), std::move(rows))));
+      }
+      // Projected columns: a shuffled subset, at least one.
+      for (size_t i = all_columns.size(); i > 1; --i) {
+        std::swap(all_columns[i - 1],
+                  all_columns[static_cast<size_t>(
+                      rng.Uniform(0, static_cast<int64_t>(i) - 1))]);
+      }
+      std::vector<std::string> columns(
+          all_columns.begin(),
+          all_columns.begin() +
+              rng.Uniform(1, static_cast<int64_t>(all_columns.size())));
+      std::vector<int> layout;
+      const size_t answer_arity = static_cast<size_t>(rng.Uniform(1, 3));
+      for (size_t c = 0; c < answer_arity; ++c) {
+        layout.push_back(static_cast<int>(
+            rng.Uniform(-1, static_cast<int64_t>(columns.size()) - 1)));
+      }
+
+      auto cover = algebra::DistinctCover::Make(factors, columns);
+      ASSERT_TRUE(cover.ok()) << cover.status().ToString();
+      const double p = rng.NextDouble() * 0.1;
+      got.AddCover(cover.ValueOrDie(), layout, p);
+
+      // Reference: Project + Distinct of the materialized product.
+      Relation product = *factors[0];
+      for (size_t f = 1; f < factors.size(); ++f) {
+        auto next = product.Product(*factors[f]);
+        ASSERT_TRUE(next.ok());
+        product = std::move(next).ValueOrDie();
+      }
+      auto projected = product.Project(columns);
+      ASSERT_TRUE(projected.ok());
+      const Relation distinct = projected.ValueOrDie().Distinct();
+      std::vector<Row> appended;
+      cover.ValueOrDie().AppendRows(&appended);
+      ASSERT_EQ(appended.size(), distinct.num_rows()) << "seed " << seed;
+      ASSERT_EQ(cover.ValueOrDie().num_rows(), distinct.num_rows());
+      for (size_t i = 0; i < appended.size(); ++i) {
+        EXPECT_TRUE(same_row(appended[i], distinct.rows()[i]))
+            << "seed " << seed << " row " << i;
+      }
+      if (distinct.empty()) {
+        ref_null += p;
+        continue;
+      }
+      std::vector<Row> partition;
+      for (const Row& row : projected.ValueOrDie().rows()) {
+        Row answer;
+        for (int c : layout) {
+          answer.push_back(c < 0 ? Value::Null() : row[static_cast<size_t>(c)]);
+        }
+        bool seen = false;
+        for (const Row& d : partition) {
+          if (relational::RowsEqual(d, answer)) seen = true;
+        }
+        if (!seen) partition.push_back(std::move(answer));
+      }
+      for (const Row& d : partition) {
+        bool merged = false;
+        for (auto& t : ref) {
+          if (relational::RowsEqual(t.values, d)) {
+            t.probability += p;
+            merged = true;
+            break;
+          }
+        }
+        if (!merged) ref.push_back(Ref{d, p});
+      }
+    }
+    ASSERT_EQ(got.size(), ref.size()) << "seed " << seed;
+    EXPECT_TRUE(SameBits(got.null_probability(), ref_null)) << "seed " << seed;
+    for (size_t i = 0; i < ref.size(); ++i) {
+      const auto& t = got.tuples()[i];
+      EXPECT_TRUE(same_row(t.values, ref[i].values))
+          << "seed " << seed << " tuple " << i;
+      EXPECT_TRUE(SameBits(t.probability, ref[i].probability))
+          << "seed " << seed << " tuple " << i << ": " << t.probability
+          << " vs " << ref[i].probability;
+    }
+    // AddCover hashed each tuple as HashRow does: a plain Add of a
+    // non-NaN tuple finds it.
+    const size_t size = got.size();
+    for (const Ref& r : ref) {
+      bool has_nan = false;
+      for (const Value& v : r.values) {
+        has_nan = has_nan || (v.type() == relational::ValueType::kDouble &&
+                              std::isnan(v.AsDouble()));
+      }
+      if (!has_nan) got.Add(r.values, 0.0);
+    }
+    EXPECT_EQ(got.size(), size) << "seed " << seed;
+  }
 }
 
 }  // namespace
