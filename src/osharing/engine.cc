@@ -20,7 +20,6 @@ using algebra::MakeSelect;
 using baselines::WeightedMapping;
 using reformulation::kUnanswerableSignature;
 using reformulation::SignatureSlot;
-using relational::AttributePart;
 using relational::InstancePart;
 using relational::RelationPtr;
 
@@ -297,7 +296,8 @@ Result<relational::RelationPtr> OSharingEngine::RunSelection(
   }
   if (use_l1) {
     auto it = selection_cache_.find(key);
-    if (it != selection_cache_.end() && it->second.pred == pred) {
+    if (it != selection_cache_.end() && it->second.pred == pred &&
+        !it->second.input.expired()) {
       stats_.cache_hits++;
       stats_.cache_bytes_saved += it->second.bytes;
       return it->second.rel;
@@ -339,7 +339,8 @@ Result<relational::RelationPtr> OSharingEngine::RunSelection(
     if (!rel.ok()) return rel;
     RecordStoreOutcome(shared, bytes);
     if (use_l1) {
-      selection_cache_[key] = CachedSelection{pred, rel.ValueOrDie(), bytes};
+      selection_cache_[key] =
+          CachedSelection{pred, input, rel.ValueOrDie(), bytes};
     }
     return rel;
   }
@@ -349,7 +350,7 @@ Result<relational::RelationPtr> OSharingEngine::RunSelection(
   if (use_l1) {
     stats_.cache_misses++;
     selection_cache_[key] = CachedSelection{
-        pred, rel.ValueOrDie(), rel.ValueOrDie()->ApproxBytes()};
+        pred, input, rel.ValueOrDie(), rel.ValueOrDie()->ApproxBytes()};
   }
   return rel;
 }
@@ -588,21 +589,56 @@ Result<OSharingEngine::Candidate> OSharingEngine::ChooseOperator(
   return candidates[best];
 }
 
+std::optional<std::string> OSharingEngine::SourceColumn(
+    const std::string& ref, const mapping::Mapping& m) const {
+  auto target_attr = info_.TargetAttrForRef(ref);
+  URM_CHECK(target_attr.ok()) << target_attr.status().ToString();
+  auto src = m.SourceFor(target_attr.ValueOrDie());
+  if (!src.has_value()) return std::nullopt;
+  return InstancePart(ref) + "$" + *src;
+}
+
+algebra::ReadSet OSharingEngine::BranchReads(const EUnit& u) const {
+  algebra::ReadSet reads;
+  auto add = [&](const std::string& ref) {
+    auto it = u.resolved.find(ref);
+    if (it != u.resolved.end()) {
+      reads.insert(it->second);
+      return;
+    }
+    for (const WeightedMapping* wm : u.mappings) {
+      auto column = SourceColumn(ref, *wm->mapping);
+      if (column.has_value()) reads.insert(std::move(*column));
+    }
+  };
+  for (size_t idx : u.pending_selections) {
+    for (const auto& ref : shape_.selections[idx].ReferencedAttributes()) {
+      add(ref);
+    }
+  }
+  for (size_t t = u.next_top; t < shape_.tops.size(); ++t) {
+    for (const auto& ref : shape_.tops[t].project_refs) add(ref);
+    if (!shape_.tops[t].agg_ref.empty()) add(shape_.tops[t].agg_ref);
+  }
+  if (!info_.is_aggregate) {  // an aggregate's output is no target ref
+    for (const auto& ref : info_.output_refs) add(ref);
+  }
+  return reads;
+}
+
 Result<std::string> OSharingEngine::ResolveRef(EUnit* u,
                                                const std::string& ref,
                                                const mapping::Mapping& rep) {
   auto it = u->resolved.find(ref);
   if (it != u->resolved.end()) return it->second;
 
-  auto target_attr = info_.TargetAttrForRef(ref);
-  if (!target_attr.ok()) return target_attr.status();
-  auto src = rep.SourceFor(target_attr.ValueOrDie());
-  if (!src.has_value()) {
+  auto source = SourceColumn(ref, rep);
+  if (!source.has_value()) {
     return Status::Internal("unmapped required ref in partition: " + ref);
   }
   std::string instance = InstancePart(ref);
-  std::string scan_alias = instance + "$" + InstancePart(*src);
-  std::string column = scan_alias + "." + AttributePart(*src);
+  std::string column = std::move(*source);
+  std::string scan_alias = InstancePart(column);
 
   size_t gi = u->GroupIndexOfInstance(instance);
   URM_CHECK_NE(gi, static_cast<size_t>(-1));
@@ -617,7 +653,8 @@ Result<std::string> OSharingEngine::ResolveRef(EUnit* u,
   if (!present) {
     // Case 2/3 of §VI-B: extend the intermediate state with the scan
     // covering the needed source attribute.
-    auto rel = MaterializeScan(InstancePart(*src), scan_alias);
+    auto rel = MaterializeScan(scan_alias.substr(instance.size() + 1),
+                               scan_alias);
     if (!rel.ok()) return rel.status();
     group.factors.push_back(
         Factor{std::move(rel).ValueOrDie(), {scan_alias}});
@@ -633,10 +670,6 @@ Result<EUnit> OSharingEngine::Execute(const EUnit& u, const Candidate& op,
   next.probability = partition.probability;
   const mapping::Mapping& rep = *partition.members.front()->mapping;
 
-  algebra::EvalContext ctx;
-  ctx.catalog = &catalog_;
-  ctx.stats = &stats_;
-
   switch (op.kind) {
     case Candidate::kSelection: {
       const algebra::Predicate& pred = shape_.selections[op.index];
@@ -649,6 +682,9 @@ Result<EUnit> OSharingEngine::Execute(const EUnit& u, const Candidate& op,
         if (!rhs.ok()) return rhs.status();
         bound.rhs_attr = rhs.ValueOrDie();
       }
+      next.pending_selections.erase(
+          std::find(next.pending_selections.begin(),
+                    next.pending_selections.end(), op.index));
       size_t gi = next.GroupIndexOfInstance(InstancePart(pred.lhs));
       Group& group = next.groups[gi];
       int fl = FactorOfColumn(group, bound.lhs);
@@ -665,7 +701,18 @@ Result<EUnit> OSharingEngine::Execute(const EUnit& u, const Candidate& op,
         f.rel = std::move(rel).ValueOrDie();
       } else {
         // The predicate spans two factors: fuse them (hash join for
-        // equality, product+filter otherwise).
+        // equality, product+filter otherwise), keeping only the columns
+        // the branch below may still read. A filter over the product
+        // reads its own columns off it too.
+        algebra::ReadSet reads = BranchReads(next);
+        if (bound.op != algebra::CmpOp::kEq) {
+          reads.insert(bound.lhs);
+          reads.insert(*bound.rhs_attr);
+        }
+        algebra::EvalContext ctx;
+        ctx.catalog = &catalog_;
+        ctx.stats = &stats_;
+        ctx.reads = &reads;
         Factor& a = group.factors[static_cast<size_t>(fl)];
         Factor& b = group.factors[static_cast<size_t>(fr)];
         auto rel = algebra::Evaluate(
@@ -686,9 +733,6 @@ Result<EUnit> OSharingEngine::Execute(const EUnit& u, const Candidate& op,
         group.factors.erase(group.factors.begin() + lo);
         group.factors.push_back(std::move(merged));
       }
-      next.pending_selections.erase(
-          std::find(next.pending_selections.begin(),
-                    next.pending_selections.end(), op.index));
       return next;
     }
 

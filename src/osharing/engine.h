@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -221,6 +222,20 @@ class OSharingEngine {
   Result<EUnit> Execute(const EUnit& u, const Candidate& op,
                         const OpPartition& partition);
 
+  /// The source column `ref` resolves to under `m`,
+  /// "<alias>$<relation>.<attr>" as the scan of <relation> for instance
+  /// <alias> names it in the factors; nullopt when `m` leaves `ref`
+  /// unmapped.
+  std::optional<std::string> SourceColumn(const std::string& ref,
+                                          const mapping::Mapping& m) const;
+
+  /// The branch read set of `u`: every column a pending selection, a
+  /// remaining top or the leaf may still read — a resolved ref's
+  /// column, or the column an unresolved ref resolves to under any of
+  /// u's mappings. A fused join executed for `u` serves every partition
+  /// below it, hence the union (eunit.h).
+  algebra::ReadSet BranchReads(const EUnit& u) const;
+
   /// Ensures `ref`'s source column is materialized in `u` (Case 2/3
   /// extension with new covering scans as needed); returns the column.
   Result<std::string> ResolveRef(EUnit* u, const std::string& ref,
@@ -289,6 +304,10 @@ class OSharingEngine {
   };
   struct CachedSelection {
     algebra::Predicate pred;  ///< verified on hit (collision guard)
+    /// The keyed input, not pinned: a fused factor dies with its
+    /// branch, and a later relation may then reuse its address, so an
+    /// entry whose input expired is a miss.
+    std::weak_ptr<const relational::Relation> input;
     relational::RelationPtr rel;
     size_t bytes = 0;  ///< ApproxBytes, measured once at insertion
   };

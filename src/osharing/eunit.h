@@ -21,7 +21,19 @@
 /// predicate spans two factors; the leaf reads its answer (COUNT, SUM
 /// or the distinct output rows) off the factors through
 /// algebra/cover.h, as the evaluator does — same results, but
-/// Cartesian covers never blow up.
+/// Cartesian covers never blow up, and the last product is never built.
+///
+/// Such a fused join emits only the e-unit's *branch read set*: the
+/// source columns the refs of its pending selections, remaining tops
+/// and leaf output resolve to. A resolved ref has one column; an
+/// unresolved one contributes its column under every mapping of the
+/// e-unit, because the fused factor serves every partition below it
+/// (the union rule e-MQO's shared memo follows). A COUNT may thus
+/// leave a factor with rows and no columns. Scans and selections
+/// within one factor keep their input's width: their OperatorStore
+/// keys (input identity + predicate) then name one result for every
+/// query, and a selection over a fused factor is keyed by that pruned
+/// relation, which the store entry pins.
 
 namespace urm {
 namespace osharing {

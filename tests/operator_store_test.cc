@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/baselines.h"
 #include "core/workload.h"
 #include "osharing/osharing.h"
 #include "qsharing/qsharing.h"
@@ -373,6 +374,75 @@ TEST_F(StoreEngineTest, SharedStoreDoesNotChangeAnswersAndRecordsHits) {
       second.ValueOrDie().answers));
   EXPECT_GT(second.ValueOrDie().stats.store_hits, 0u);
   EXPECT_GT(store.stats().hits, 0u);
+}
+
+TEST_F(StoreEngineTest, SelectionOverFusedJoinPinsOnlyTheReadColumns) {
+  // Both mappings agree on the join (pname = cid, sname = ocid) and on
+  // addr, but match phone to ophone and hphone. SEF runs the product,
+  // then the join (one partition), then the phone filter (two) over
+  // the fused factor: each filter's store entry pins that factor. It
+  // keeps only what the branch reads, ophone, hphone and oaddr, where
+  // a full-width fusion would keep all eleven columns.
+  auto mapping = [](const std::string& phone) {
+    mapping::Mapping m;
+    EXPECT_TRUE(m.Add("Person.pname", "customer.cid").ok());
+    EXPECT_TRUE(m.Add("Person.phone", phone).ok());
+    EXPECT_TRUE(m.Add("Person.addr", "customer.oaddr").ok());
+    EXPECT_TRUE(m.Add("Order.sname", "c_order.ocid").ok());
+    m.set_probability(0.5);
+    return m;
+  };
+  const std::vector<mapping::Mapping> mappings = {
+      mapping("customer.ophone"), mapping("customer.hphone")};
+  PlanPtr q = MakeSelect(
+      MakeProduct(MakeScan("Person", "person"), MakeScan("Order", "order")),
+      Predicate::AttrCmpAttr("person.pname", CmpOp::kEq, "order.sname"));
+  q = MakeSelect(q, Predicate::AttrCmpValue("person.phone", CmpOp::kEq,
+                                            "789"));
+  auto info = Analyze(algebra::MakeProject(q, {"person.addr"}));
+
+  OperatorStore store;
+  OSharingOptions options;
+  options.strategy = StrategyKind::kSEF;
+  options.store = &store;
+  auto result = RunOSharing(info, mappings, ex_.catalog, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  reformulation::Reformulator reformulator(ex_.source_schema);
+  auto basic = baselines::RunBasic(info, baselines::AsWeighted(mappings),
+                                   ex_.catalog, reformulator);
+  ASSERT_TRUE(basic.ok()) << basic.status().ToString();
+  EXPECT_TRUE(basic.ValueOrDie().answers.ApproxEquals(
+      result.ValueOrDie().answers));
+
+  // The same entries at full width: two scans (result plus pinned base
+  // relation) and the two filters over the full fused join.
+  auto eval = [&](const PlanPtr& plan) {
+    auto rel = algebra::Evaluate(plan, ex_.catalog);
+    EXPECT_TRUE(rel.ok()) << rel.status().ToString();
+    return std::move(rel).ValueOrDie();
+  };
+  RelationPtr customer = eval(MakeScan("customer", "person$customer"));
+  RelationPtr c_order = eval(MakeScan("c_order", "order$c_order"));
+  RelationPtr fused = eval(MakeSelect(
+      MakeProduct(algebra::MakeRelationLeaf(customer, "l"),
+                  algebra::MakeRelationLeaf(c_order, "r")),
+      Predicate::AttrCmpAttr("person$customer.cid", CmpOp::kEq,
+                             "order$c_order.ocid")));
+  ASSERT_EQ(fused->schema().num_columns(), 11u);
+  const size_t scans = 2 * (customer->ApproxBytes() + c_order->ApproxBytes());
+  size_t full_width = scans;
+  for (const char* phone :
+       {"person$customer.ophone", "person$customer.hphone"}) {
+    RelationPtr filtered = eval(MakeSelect(
+        algebra::MakeRelationLeaf(fused, "f"),
+        Predicate::AttrCmpValue(phone, CmpOp::kEq, "789")));
+    full_width += fused->ApproxBytes() + filtered->ApproxBytes();
+  }
+  ASSERT_EQ(store.stats().entries, 4u);
+  ASSERT_GT(store.stats().bytes, scans);
+  // Three of the eleven columns survive, so the filter entries weigh
+  // well under half their full-width bytes.
+  EXPECT_LT(2 * (store.stats().bytes - scans), full_width - scans);
 }
 
 TEST_F(StoreEngineTest, ScopedStoreSharesAtReconfiguredEpoch) {

@@ -2,10 +2,13 @@
 
 #include "algebra/plan.h"
 #include "baselines/baselines.h"
+#include "common/thread_pool.h"
 #include "osharing/osharing.h"
 #include "osharing/query_shape.h"
 #include "reformulation/reformulator.h"
 #include "tests/paper_fixture.h"
+#include "topk/threshold.h"
+#include "topk/topk.h"
 
 namespace urm {
 namespace osharing {
@@ -146,19 +149,26 @@ TEST_F(OSharingTest, CountOverBareProductMatchesBasic) {
 }
 
 TEST_F(OSharingTest, JoinPredicateQueryMatchesBasic) {
-  // σ Person.nation = Order.item (Person × Order): a cross-instance
-  // equality predicate exercising factor fusion.
-  PlanPtr p = MakeProduct(MakeScan("Person", "person"),
-                          MakeScan("Order", "order"));
-  p = MakeSelect(p, Predicate::AttrCmpAttr("person.nation", CmpOp::kEq,
-                                           "order.item"));
-  auto info = Analyze(p);
-  auto basic = Basic(info);
-  auto result = RunOSharing(info, ex_.mappings, ex_.catalog);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(basic.answers.ApproxEquals(result.ValueOrDie().answers))
-      << "basic:\n" << basic.answers.ToString() << "o-sharing:\n"
-      << result.ValueOrDie().answers.ToString();
+  // σ Person.pname op Order.sname (Person × Order): a cross-instance
+  // predicate exercising factor fusion (customer and c_order under m1
+  // and m2), by hash join (=) or product + filter (<). Under COUNT
+  // nothing above the fusion reads a column.
+  for (CmpOp op : {CmpOp::kEq, CmpOp::kLt}) {
+    for (bool count : {false, true}) {
+      PlanPtr p = MakeProduct(MakeScan("Person", "person"),
+                              MakeScan("Order", "order"));
+      p = MakeSelect(
+          p, Predicate::AttrCmpAttr("person.pname", op, "order.sname"));
+      if (count) p = MakeAggregate(p, AggKind::kCount);
+      auto info = Analyze(p);
+      auto basic = Basic(info);
+      auto result = RunOSharing(info, ex_.mappings, ex_.catalog);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(basic.answers.ApproxEquals(result.ValueOrDie().answers))
+          << "basic:\n" << basic.answers.ToString() << "o-sharing:\n"
+          << result.ValueOrDie().answers.ToString();
+    }
+  }
 }
 
 TEST_F(OSharingTest, SharesOperatorsAcrossMappings) {
@@ -191,6 +201,73 @@ TEST_F(OSharingTest, OperatorCacheDoesNotChangeAnswers) {
   EXPECT_TRUE(a.ValueOrDie().answers.ApproxEquals(
       b.ValueOrDie().answers));
   EXPECT_EQ(b.ValueOrDie().stats.cache_hits, 0u);
+}
+
+TEST_F(OSharingTest, FusedJoinKeepsTheColumnsOfEveryMappingBelowIt) {
+  // The mappings of BaselinesTest.EMqoSharedJoinServesPlansReading-
+  // DifferentColumns agree on the join columns, so one u-trace node
+  // fuses customer and c_order for both. Above the join they read
+  // different customer columns (oaddr, haddr): the fused factor has to
+  // keep both, not just the representative mapping's.
+  auto mapping = [](const std::string& addr, double probability) {
+    mapping::Mapping m;
+    EXPECT_TRUE(m.Add("Person.pname", "customer.cid").ok());
+    EXPECT_TRUE(m.Add("Person.addr", addr).ok());
+    EXPECT_TRUE(m.Add("Order.sname", "c_order.ocid").ok());
+    m.set_probability(probability);
+    return m;
+  };
+  const std::vector<mapping::Mapping> mappings = {
+      mapping("customer.oaddr", 0.6), mapping("customer.haddr", 0.4)};
+  PlanPtr q = MakeSelect(
+      MakeProduct(MakeScan("Person", "person"), MakeScan("Order", "order")),
+      Predicate::AttrCmpAttr("person.pname", CmpOp::kEq, "order.sname"));
+  auto info = Analyze(MakeProject(q, {"person.addr"}));
+  reformulation::Reformulator reformulator(ex_.source_schema);
+  auto basic = baselines::RunBasic(info, baselines::AsWeighted(mappings),
+                                   ex_.catalog, reformulator);
+  ASSERT_TRUE(basic.ok()) << basic.status().ToString();
+  // Customers t1 and t3 have orders: oaddr {aaa}, haddr {hk, aaa}.
+  const auto& expected = basic.ValueOrDie().answers;
+  ASSERT_EQ(expected.size(), 2u);
+
+  ThreadPool pool(2);
+  for (StrategyKind strategy :
+       {StrategyKind::kRandom, StrategyKind::kSNF, StrategyKind::kSEF}) {
+    for (bool parallel : {false, true}) {
+      SCOPED_TRACE(std::string(StrategyName(strategy)) +
+                   (parallel ? " RunParallel" : " Run"));
+      OSharingOptions options;
+      options.strategy = strategy;
+      if (parallel) {
+        options.parallelism = 2;
+        options.pool = &pool;
+        options.parallel_grain = 1;  // fan the addr split out
+      }
+      auto result = RunOSharing(info, mappings, ex_.catalog, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE(expected.ApproxEquals(result.ValueOrDie().answers))
+          << result.ValueOrDie().answers.ToString();
+    }
+    topk::TopKOptions topk_options;
+    topk_options.osharing.strategy = strategy;
+    auto top = topk::RunTopK(info, mappings, ex_.catalog, 2, topk_options);
+    ASSERT_TRUE(top.ok()) << top.status().ToString();
+    ASSERT_EQ(top.ValueOrDie().tuples.size(), 2u);
+    EXPECT_EQ(top.ValueOrDie().tuples[0].values[0].ToString(), "aaa");
+    EXPECT_NEAR(top.ValueOrDie().tuples[0].lower_bound, 1.0, 1e-12);
+    EXPECT_EQ(top.ValueOrDie().tuples[1].values[0].ToString(), "hk");
+    EXPECT_NEAR(top.ValueOrDie().tuples[1].lower_bound, 0.4, 1e-12);
+
+    OSharingOptions threshold_options;
+    threshold_options.strategy = strategy;
+    auto above = topk::RunThreshold(info, mappings, ex_.catalog, 0.3,
+                                    threshold_options);
+    ASSERT_TRUE(above.ok()) << above.status().ToString();
+    ASSERT_EQ(above.ValueOrDie().tuples.size(), 2u);
+    EXPECT_EQ(above.ValueOrDie().tuples[1].values[0].ToString(), "hk");
+    EXPECT_NEAR(above.ValueOrDie().tuples[1].lower_bound, 0.4, 1e-12);
+  }
 }
 
 TEST_F(OSharingTest, StrategyNamesExposed) {
