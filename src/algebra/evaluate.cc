@@ -301,7 +301,21 @@ Result<RelationPtr> Evaluate(const PlanPtr& plan, const EvalContext& ctx) {
         result = std::move(join);
         break;
       }
-      auto child = Evaluate(plan->child, ctx);
+      // The filter reads its own columns off its input, whether or not
+      // an operator above reads them.
+      const Predicate& pred = plan->predicate;
+      ReadSet with_pred;
+      EvalContext child_ctx = ctx;
+      if (ctx.reads != nullptr &&
+          (ctx.reads->count(pred.lhs) == 0 ||
+           (pred.rhs_attr.has_value() &&
+            ctx.reads->count(*pred.rhs_attr) == 0))) {
+        with_pred = *ctx.reads;
+        with_pred.insert(pred.lhs);
+        if (pred.rhs_attr.has_value()) with_pred.insert(*pred.rhs_attr);
+        child_ctx.reads = &with_pred;
+      }
+      auto child = Evaluate(plan->child, child_ctx);
       if (!child.ok()) return child.status();
       result = EvaluateSelect(*plan, std::move(child).ValueOrDie(), ctx);
       break;

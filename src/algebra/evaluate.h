@@ -90,9 +90,10 @@ struct EvalContext {
   const std::unordered_set<std::string>* cache_filter = nullptr;
   /// When set, hash joins and materialized products emit only the
   /// columns a name here resolves to, in their usual order; row counts,
-  /// row order and statistics do not change. Every result stored in
-  /// `cache` then holds only these columns, so plans sharing one memo
-  /// must share one read set.
+  /// row order and statistics do not change. A selection evaluates its
+  /// input with its predicate's columns added. Every result stored in
+  /// `cache` is pruned the same way, so plans sharing one memo must
+  /// share one read set.
   const ReadSet* reads = nullptr;
 };
 

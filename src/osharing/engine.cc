@@ -702,13 +702,8 @@ Result<EUnit> OSharingEngine::Execute(const EUnit& u, const Candidate& op,
       } else {
         // The predicate spans two factors: fuse them (hash join for
         // equality, product+filter otherwise), keeping only the columns
-        // the branch below may still read. A filter over the product
-        // reads its own columns off it too.
+        // the branch below may still read.
         algebra::ReadSet reads = BranchReads(next);
-        if (bound.op != algebra::CmpOp::kEq) {
-          reads.insert(bound.lhs);
-          reads.insert(*bound.rhs_attr);
-        }
         algebra::EvalContext ctx;
         ctx.catalog = &catalog_;
         ctx.stats = &stats_;

@@ -432,6 +432,18 @@ TEST(EvaluateTest, ReadSetPrunesProductColumns) {
                     {"t1.x"}, {"t1.x"});
 }
 
+TEST(EvaluateTest, SelectionReadsItsPredicateColumnsOffItsInput) {
+  // Nothing above reads s1.w or r1.v, yet the filter needs them on the
+  // product; nested, the outer filter's r1.id reaches the product too.
+  PlanPtr filtered = MakeSelect(
+      MakeProduct(MakeScan("r", "r1"), MakeScan("s", "s1")),
+      Predicate::AttrCmpAttr("s1.w", CmpOp::kLt, "r1.v"));
+  ExpectReadColumns(filtered, {"r1.id"}, {"r1.id", "r1.v", "s1.w"});
+  ExpectReadColumns(
+      MakeSelect(filtered, Predicate::AttrCmpValue("r1.id", CmpOp::kEq, "b")),
+      {"s1.w"}, {"r1.id", "r1.v", "s1.w"});
+}
+
 TEST(EvaluateTest, SourceQueryCoverMatchesEvaluate) {
   Catalog catalog = SmallCatalog();
   PlanPtr join = MakeSelect(

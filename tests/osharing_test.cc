@@ -152,16 +152,26 @@ TEST_F(OSharingTest, JoinPredicateQueryMatchesBasic) {
   // σ Person.pname op Order.sname (Person × Order): a cross-instance
   // predicate exercising factor fusion (customer and c_order under m1
   // and m2), by hash join (=) or product + filter (<). Under COUNT
-  // nothing above the fusion reads a column.
-  for (CmpOp op : {CmpOp::kEq, CmpOp::kLt}) {
+  // nothing above the fusion reads a column. σ Person.nation =
+  // Order.item spans the two instances too, but no mapping answers it
+  // (m1-m4 map nation and not item, m5 item and not nation), so its
+  // whole probability goes to the null answer θ.
+  const Predicate joins[] = {
+      Predicate::AttrCmpAttr("person.pname", CmpOp::kEq, "order.sname"),
+      Predicate::AttrCmpAttr("person.pname", CmpOp::kLt, "order.sname"),
+      Predicate::AttrCmpAttr("person.nation", CmpOp::kEq, "order.item")};
+  for (const Predicate& join : joins) {
     for (bool count : {false, true}) {
-      PlanPtr p = MakeProduct(MakeScan("Person", "person"),
-                              MakeScan("Order", "order"));
-      p = MakeSelect(
-          p, Predicate::AttrCmpAttr("person.pname", op, "order.sname"));
+      SCOPED_TRACE(join.ToString() + (count ? " under COUNT" : ""));
+      PlanPtr p = MakeSelect(MakeProduct(MakeScan("Person", "person"),
+                                         MakeScan("Order", "order")),
+                             join);
       if (count) p = MakeAggregate(p, AggKind::kCount);
       auto info = Analyze(p);
       auto basic = Basic(info);
+      if (join.lhs == "person.nation") {  // unanswerable: all mass on θ
+        EXPECT_NEAR(basic.answers.null_probability(), 1.0, 1e-12);
+      }
       auto result = RunOSharing(info, ex_.mappings, ex_.catalog);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       EXPECT_TRUE(basic.answers.ApproxEquals(result.ValueOrDie().answers))
