@@ -109,6 +109,7 @@ DistinctCover::Share DistinctCover::PickFirstOccurrences(
       share.cells.push_back(&rows[i][static_cast<size_t>(columns[k])]);
       share.hashes.push_back(cell_hashes[i * width + k]);
     }
+    ++share.picks;
   }
   return share;
 }
@@ -141,7 +142,7 @@ Result<DistinctCover> DistinctCover::Make(
     if (shares[f].empty()) continue;
     share_of[f] = static_cast<uint32_t>(cover.shares_.size());
     cover.shares_.push_back(PickFirstOccurrences(factors[f], shares[f]));
-    cover.num_rows_ *= cover.shares_.back().cells.size() / shares[f].size();
+    cover.num_rows_ *= cover.shares_.back().picks;
   }
   for (const Slot& s : slots) {
     cover.where_.emplace_back(share_of[s.factor],

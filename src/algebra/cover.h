@@ -59,35 +59,48 @@ class DistinctCover {
   /// Appends the rows to `*rows`, in order.
   void AppendRows(std::vector<relational::Row>* rows) const;
 
-  /// One row of the enumeration: projected column `c` of it, read in
-  /// place, and that cell's cached hash.
+  /// The picks behind the rows. The factors holding projected columns
+  /// are the cover's shares, in factor order; projected column `c` lies
+  /// in share share_of(c), and its cell in that share's pick `p` is
+  /// pick_cell(c, p), with Value::Hash pick_hash(c, p). A row is one
+  /// pick per share, so a consumer can work per picked cell (AnswerSet
+  /// codes each once) and read each row's picks off its Cursor.
+  size_t share_of(size_t c) const { return where_[c].first; }
+  size_t num_picks(size_t share) const { return shares_[share].picks; }
+  const relational::Value& pick_cell(size_t c, size_t pick) const {
+    const auto [share, slot] = where_[c];
+    return *shares_[share].cells[pick * shares_[share].width + slot];
+  }
+  size_t pick_hash(size_t c, size_t pick) const {
+    const auto [share, slot] = where_[c];
+    return shares_[share].hashes[pick * shares_[share].width + slot];
+  }
+
+  /// One row of the enumeration: each share's pick in it, and projected
+  /// column `c` of it, read in place.
   class Cursor {
    public:
+    size_t pick(size_t share) const { return picks_[share]; }
     const relational::Value& cell(size_t c) const {
       const auto [share, slot] = cover_->where_[c];
-      return *cover_->shares_[share].cells[base_[share] + slot];
-    }
-    size_t hash(size_t c) const {
-      const auto [share, slot] = cover_->where_[c];
-      return cover_->shares_[share].hashes[base_[share] + slot];
+      const Share& picks = cover_->shares_[share];
+      return *picks.cells[picks_[share] * picks.width + slot];
     }
 
    private:
     friend class DistinctCover;
     explicit Cursor(const DistinctCover* cover)
-        : cover_(cover), base_(cover->shares_.size(), 0) {}
+        : cover_(cover), picks_(cover->shares_.size(), 0) {}
     /// Steps to the next row (odometer, the last share fastest).
     void Advance() {
-      for (size_t s = base_.size(); s-- > 0;) {
-        const Share& share = cover_->shares_[s];
-        base_[s] += share.width;
-        if (base_[s] < share.cells.size()) return;
-        base_[s] = 0;
+      for (size_t s = picks_.size(); s-- > 0;) {
+        if (++picks_[s] < cover_->shares_[s].picks) return;
+        picks_[s] = 0;
       }
     }
 
     const DistinctCover* cover_;
-    std::vector<size_t> base_;  ///< per share: its current pick × width
+    std::vector<size_t> picks_;  ///< per share: its pick in this row
   };
 
   /// Calls `visit(cursor)` for every row, in order.
@@ -105,6 +118,7 @@ class DistinctCover {
   struct Share {
     relational::RelationPtr rel;  ///< keeps `cells` alive
     size_t width = 0;             ///< projected columns it holds
+    size_t picks = 0;             ///< cells.size() / width
     /// Picked cells, pick-major: width entries per pick.
     std::vector<const relational::Value*> cells;
     std::vector<size_t> hashes;  ///< Value::Hash of each entry of cells

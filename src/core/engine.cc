@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <set>
 
@@ -499,12 +500,16 @@ Result<Response> Engine::RunSharded(const Request& request,
       return response;
     }
     case RequestKind::kThreshold: {
-      auto sorted = combined.answers.Sorted();
+      const auto& tuples = combined.answers.tuples();
+      std::vector<uint32_t> order(tuples.size());
+      std::iota(order.begin(), order.end(), 0u);
+      combined.answers.Order(&order);
       topk::ThresholdResult result;
-      for (auto& t : sorted) {
+      for (uint32_t pos : order) {
+        const reformulation::AnswerTuple& t = tuples[pos];
         if (t.probability + kShardMergeEps < request.threshold) break;
-        result.tuples.push_back(topk::ThresholdEntry{
-            std::move(t.values), t.probability, t.probability});
+        result.tuples.push_back(
+            topk::ThresholdEntry{t.values, t.probability, t.probability});
       }
       result.early_terminated = false;
       result.leaves_visited = combined.source_queries;

@@ -5,70 +5,205 @@
 #include <numeric>
 #include <utility>
 
-#include "common/hash_util.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 
 namespace urm {
 namespace reformulation {
 
-using relational::HashRow;
 using relational::Row;
-using relational::RowLess;
-using relational::RowsEqual;
+using relational::Value;
+using relational::ValueType;
 
 namespace {
 
+/// The code past the end of a row, so rows of different widths differ.
+constexpr uint32_t kAbsent = UINT32_MAX;
+
 /// Home slot of `hash` in a table of `mask` + 1 slots: the high half of
-/// a Fibonacci-hashing product, so all bits of the row hash count.
+/// a Fibonacci-hashing product, so all bits of the hash count.
 size_t HomeSlot(size_t hash, size_t mask) {
   return static_cast<size_t>(
              (static_cast<uint64_t>(hash) * 0x9e3779b97f4a7c15ULL) >> 32) &
          mask;
 }
 
-}  // namespace
-
-template <typename Equal>
-size_t AnswerSet::Find(size_t hash, const Equal& equal) const {
-  if (slots_.empty()) return tuples_.size();
-  const size_t mask = slots_.size() - 1;
+/// Open addressing with linear probing: each slot holds an entry plus
+/// one, 0 marking an empty slot. The entry on `hash`'s probe path that
+/// satisfies `match`, or `none` when an empty slot comes first.
+template <typename Match>
+uint32_t Probe(const std::vector<uint32_t>& slots, size_t hash, uint32_t none,
+               const Match& match) {
+  if (slots.empty()) return none;
+  const size_t mask = slots.size() - 1;
   for (size_t i = HomeSlot(hash, mask);; i = (i + 1) & mask) {
-    uint32_t slot = slots_[i];
-    if (slot == 0) return tuples_.size();
-    size_t pos = slot - 1;
-    if (meta_[pos].hash == hash && equal(tuples_[pos].values)) return pos;
+    const uint32_t slot = slots[i];
+    if (slot == 0) return none;
+    if (match(slot - 1)) return slot - 1;
   }
 }
 
-void AnswerSet::Insert(size_t hash, Row values, double prob) {
+/// Puts `entry` in the first empty slot on `hash`'s probe path.
+void Place(std::vector<uint32_t>* slots, size_t hash, uint32_t entry) {
+  const size_t mask = slots->size() - 1;
+  size_t i = HomeSlot(hash, mask);
+  while ((*slots)[i] != 0) i = (i + 1) & mask;
+  (*slots)[i] = entry + 1;
+}
+
+size_t HashCodes(const uint32_t* codes, size_t n) {
+  uint64_t h = 0x51ed270b;
+  for (size_t i = 0; i < n; ++i) {
+    h = (h ^ codes[i]) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 32;
+  }
+  return static_cast<size_t>(h);
+}
+
+bool IsNaN(const Value& v) {
+  return v.type() == ValueType::kDouble && std::isnan(v.AsDouble());
+}
+
+/// The order Value::operator< puts one column's codes in: the rank of
+/// each code among the column's classes, NaN codes apart. Ranks below
+/// `numbers_begin` are NULL, ranks from `numbers_end` on are strings.
+struct ColumnRanks {
+  static constexpr uint32_t kNaN = UINT32_MAX;
+
+  std::vector<uint32_t> rank;
+  uint32_t numbers_begin = 0;
+  uint32_t numbers_end = 0;
+
+  /// The type rank Value::operator< gives the code ranked `r`: NULL 0,
+  /// numbers (NaN included) 1, strings 2.
+  int Type(uint32_t r) const {
+    if (r == kNaN) return 1;
+    return r < numbers_begin ? 0 : r < numbers_end ? 1 : 2;
+  }
+};
+
+/// Ranks the codes whose first members are `values`. Distinct non-NaN
+/// classes are never equivalent under Value::operator< (oracle_test), so
+/// their ranks are distinct and compare as their members do.
+ColumnRanks RankCodes(const std::vector<Value>& values) {
+  std::vector<uint32_t> order;
+  order.reserve(values.size());
+  ColumnRanks out;
+  for (uint32_t code = 0; code < values.size(); ++code) {
+    const Value& v = values[code];
+    if (IsNaN(v)) continue;
+    order.push_back(code);
+    if (v.is_null()) ++out.numbers_begin;
+    if (v.is_numeric()) ++out.numbers_end;
+  }
+  out.numbers_end += out.numbers_begin;
+  std::sort(order.begin(), order.end(),
+            [&values](uint32_t a, uint32_t b) { return values[a] < values[b]; });
+  out.rank.assign(values.size(), ColumnRanks::kNaN);
+  for (uint32_t r = 0; r < order.size(); ++r) out.rank[order[r]] = r;
+  return out;
+}
+
+}  // namespace
+
+uint32_t AnswerSet::Column::Find(const Value& value, size_t hash) const {
+  return Probe(slots, hash, kNoCode, [&](uint32_t code) {
+    return hashes[code] == hash && values[code] == value;
+  });
+}
+
+uint32_t AnswerSet::Column::Add(const Value& value, size_t hash) {
+  URM_CHECK(values.size() < kNoCode) << "answer column has too many values";
+  const uint32_t code = static_cast<uint32_t>(values.size());
+  values.push_back(value);
+  hashes.push_back(hash);
+  if (IsNaN(value)) return code;
+  if (values.size() * 2 <= slots.size()) {
+    Place(&slots, hash, code);
+    return code;
+  }
+  // Double the table (at least 16 slots) and re-place every indexed code.
+  slots.assign(std::max<size_t>(16, slots.size() * 2), 0);
+  for (uint32_t c = 0; c < values.size(); ++c) {
+    if (!IsNaN(values[c])) Place(&slots, hashes[c], c);
+  }
+  return code;
+}
+
+size_t AnswerSet::Find(const uint32_t* key, size_t hash) const {
+  return Probe(slots_, hash, static_cast<uint32_t>(tuples_.size()),
+               [&](uint32_t pos) {
+                 return std::equal(key, key + width_, codes(pos));
+               });
+}
+
+size_t AnswerSet::FindRow(const Row& row, std::vector<uint32_t>* key) const {
+  if (row.size() > width_) return tuples_.size();
+  key->assign(width_, kAbsent);
+  for (size_t i = 0; i < row.size(); ++i) {
+    const uint32_t code = columns_[i].Find(row[i], row[i].Hash());
+    if (code == kNoCode) return tuples_.size();
+    (*key)[i] = code;
+  }
+  return Find(key->data(), HashCodes(key->data(), width_));
+}
+
+void AnswerSet::Rehash(size_t num_slots) {
+  slots_.assign(num_slots, 0);
+  for (uint32_t pos = 0; pos < tuples_.size(); ++pos) {
+    Place(&slots_, HashCodes(codes(pos), width_), pos);
+  }
+}
+
+void AnswerSet::Insert(const uint32_t* key, size_t hash, Row values,
+                       double prob) {
   URM_CHECK(tuples_.size() < UINT32_MAX) << "answer set too large";
   tuples_.push_back(AnswerTuple{std::move(values), prob});
-  meta_.push_back(TupleMeta{hash, stamp_});
-  auto place = [this](size_t pos) {
-    const size_t mask = slots_.size() - 1;
-    size_t i = HomeSlot(meta_[pos].hash, mask);
-    while (slots_[i] != 0) i = (i + 1) & mask;
-    slots_[i] = static_cast<uint32_t>(pos + 1);
-  };
+  entries_.push_back(stamp_);
+  for (size_t i = 0; i < width_; ++i) entries_.push_back(key[i]);
   if (tuples_.size() * 2 <= slots_.size()) {
-    place(tuples_.size() - 1);
+    Place(&slots_, hash, static_cast<uint32_t>(tuples_.size() - 1));
     return;
   }
-  // Double the table (at least 16 slots) and re-place every tuple.
-  slots_.assign(std::max<size_t>(16, slots_.size() * 2), 0);
-  for (size_t pos = 0; pos < tuples_.size(); ++pos) place(pos);
+  Rehash(std::max<size_t>(16, slots_.size() * 2));
+}
+
+void AnswerSet::Widen(size_t width) {
+  if (width <= width_) return;
+  columns_.resize(width);
+  if (!tuples_.empty()) {
+    const size_t from = width_ + 1, to = width + 1;
+    std::vector<uint32_t> entries(tuples_.size() * to, kAbsent);
+    for (size_t pos = 0; pos < tuples_.size(); ++pos) {
+      std::copy_n(&entries_[pos * from], from, &entries[pos * to]);
+    }
+    entries_ = std::move(entries);
+  }
+  width_ = width;
+  if (!tuples_.empty()) Rehash(slots_.size());
+}
+
+void AnswerSet::NextStamp() {
+  if (++stamp_ != 0) return;
+  for (size_t pos = 0; pos < tuples_.size(); ++pos) {
+    entries_[pos * (width_ + 1)] = 0;
+  }
+  stamp_ = 1;
 }
 
 template <typename RowRef>
 void AnswerSet::Accumulate(RowRef&& row, double prob) {
-  size_t hash = HashRow(row);
-  size_t pos =
-      Find(hash, [&row](const Row& values) { return RowsEqual(values, row); });
+  Widen(row.size());
+  std::vector<uint32_t> key(width_, kAbsent);
+  for (size_t i = 0; i < row.size(); ++i) {
+    key[i] = columns_[i].Code(row[i], row[i].Hash());
+  }
+  const size_t hash = HashCodes(key.data(), width_);
+  const size_t pos = Find(key.data(), hash);
   if (pos < tuples_.size()) {
     tuples_[pos].probability += prob;
   } else {
-    Insert(hash, std::forward<RowRef>(row), prob);
+    Insert(key.data(), hash, std::forward<RowRef>(row), prob);
   }
 }
 
@@ -86,38 +221,76 @@ void AnswerSet::AddCover(const algebra::DistinctCover& cover,
   }
   // The stamp marks the tuples this partition has already counted, so a
   // repeated answer row adds nothing (set semantics per partition).
-  ++stamp_;
-  const size_t null_hash = relational::Value::Null().Hash();
-  cover.ForEachRow([&](const algebra::DistinctCover::Cursor& row) {
-    size_t hash = relational::kRowHashSeed;
-    for (int c : columns) {
-      HashCombine(hash, c < 0 ? null_hash : row.hash(static_cast<size_t>(c)));
+  NextStamp();
+  Widen(columns.size());
+  std::vector<uint32_t> key(width_, kAbsent);
+  // Code every picked cell of each answer column once; a row's codes are
+  // then its picks' codes. A NaN pick stays kNoCode until its row
+  // becomes a tuple, so it matches nothing.
+  struct Read {
+    size_t column;  ///< answer column
+    size_t cell;    ///< cover column
+    size_t share;   ///< the cover share holding it
+    size_t first;   ///< its first pick's code in pick_codes
+  };
+  std::vector<Read> reads;
+  std::vector<uint32_t> pick_codes;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (columns[i] < 0) {
+      key[i] = columns_[i].Code(Value::Null(), Value::Null().Hash());
+      continue;
     }
-    size_t pos = Find(hash, [&](const Row& values) {
-      if (values.size() != columns.size()) return false;
-      for (size_t i = 0; i < columns.size(); ++i) {
-        const int c = columns[i];
-        if (c < 0 ? !values[i].is_null()
-                  : !(values[i] == row.cell(static_cast<size_t>(c)))) {
-          return false;
-        }
-      }
-      return true;
-    });
+    const size_t c = static_cast<size_t>(columns[i]);
+    const size_t share = cover.share_of(c);
+    reads.push_back(Read{i, c, share, pick_codes.size()});
+    Column& column = columns_[i];
+    for (size_t p = 0; p < cover.num_picks(share); ++p) {
+      const Value& cell = cover.pick_cell(c, p);
+      const size_t hash = cover.pick_hash(c, p);
+      uint32_t code = column.Find(cell, hash);
+      if (code == kNoCode && !IsNaN(cell)) code = column.Add(cell, hash);
+      pick_codes.push_back(code);
+    }
+  }
+  const size_t stride = width_ + 1;
+  // Consecutive cover rows mostly land on consecutive tuples (a
+  // partition repeats an earlier one's rows in the same order), so the
+  // tuple after the previous row's is tried before the table.
+  size_t last = SIZE_MAX;
+  cover.ForEachRow([&](const algebra::DistinctCover::Cursor& row) {
+    for (const Read& r : reads) {
+      key[r.column] = pick_codes[r.first + row.pick(r.share)];
+    }
+    size_t pos = last + 1;
+    size_t hash = 0;
+    if (pos >= tuples_.size() ||
+        !std::equal(key.begin(), key.end(), codes(pos))) {
+      hash = HashCodes(key.data(), width_);
+      pos = Find(key.data(), hash);
+    }
+    last = pos;
     if (pos < tuples_.size()) {
-      if (meta_[pos].stamp != stamp_) {
-        meta_[pos].stamp = stamp_;
+      uint32_t& stamp = entries_[pos * stride];
+      if (stamp != stamp_) {
+        stamp = stamp_;
         tuples_[pos].probability += prob;
       }
       return;
     }
+    bool nan = false;
+    for (const Read& r : reads) {
+      if (key[r.column] != kNoCode) continue;
+      const Value& cell = row.cell(r.cell);
+      key[r.column] = columns_[r.column].Add(cell, cell.Hash());
+      nan = true;
+    }
+    if (nan) hash = HashCodes(key.data(), width_);
     Row values;
     values.reserve(columns.size());
     for (int c : columns) {
-      values.push_back(c < 0 ? relational::Value::Null()
-                             : row.cell(static_cast<size_t>(c)));
+      values.push_back(c < 0 ? Value::Null() : row.cell(static_cast<size_t>(c)));
     }
-    Insert(hash, std::move(values), prob);
+    Insert(key.data(), hash, std::move(values), prob);
   });
 }
 
@@ -141,21 +314,56 @@ size_t AnswerSet::ApproxBytes() const {
   return bytes;
 }
 
+void AnswerSet::Order(std::vector<uint32_t>* positions,
+                      std::optional<size_t> k) const {
+  if (positions->size() < 2) return;
+  std::vector<ColumnRanks> ranks;
+  ranks.reserve(columns_.size());
+  for (const Column& column : columns_) {
+    ranks.push_back(RankCodes(column.values));
+  }
+  auto less = [this, &ranks](uint32_t a, uint32_t b) {
+    const double pa = tuples_[a].probability, pb = tuples_[b].probability;
+    if (pa != pb) return pa > pb;
+    // RowLess of the two rows, a column at a time.
+    const uint32_t* ca = codes(a);
+    const uint32_t* cb = codes(b);
+    for (size_t i = 0; i < width_; ++i) {
+      const uint32_t x = ca[i], y = cb[i];
+      if (x == y) continue;
+      // Equal up to here: the row that ends first is the smaller.
+      if (x == kAbsent || y == kAbsent) return x == kAbsent;
+      const ColumnRanks& column = ranks[i];
+      const uint32_t rx = column.rank[x], ry = column.rank[y];
+      if (rx != ColumnRanks::kNaN && ry != ColumnRanks::kNaN) return rx < ry;
+      // NaN is equivalent to every number, above NULL, below strings.
+      const int tx = column.Type(rx), ty = column.Type(ry);
+      if (tx != ty) return tx < ty;
+    }
+    return false;
+  };
+  if (k) {
+    const auto middle =
+        positions->begin() +
+        static_cast<std::ptrdiff_t>(std::min(*k, positions->size()));
+    std::partial_sort(positions->begin(), middle, positions->end(), less);
+  } else {
+    std::sort(positions->begin(), positions->end(), less);
+  }
+}
+
 std::vector<AnswerTuple> AnswerSet::Sorted() const {
-  std::vector<AnswerTuple> out = tuples_;
-  std::sort(out.begin(), out.end(),
-            [](const AnswerTuple& a, const AnswerTuple& b) {
-              if (a.probability != b.probability) {
-                return a.probability > b.probability;
-              }
-              return RowLess(a.values, b.values);
-            });
-  return out;
+  return TopK(tuples_.size());
 }
 
 std::vector<AnswerTuple> AnswerSet::TopK(size_t k) const {
-  std::vector<AnswerTuple> out = Sorted();
-  if (out.size() > k) out.resize(k);
+  std::vector<uint32_t> order(tuples_.size());
+  std::iota(order.begin(), order.end(), 0u);
+  Order(&order);
+  order.resize(std::min(k, order.size()));
+  std::vector<AnswerTuple> out;
+  out.reserve(order.size());
+  for (uint32_t pos : order) out.push_back(tuples_[pos]);
   return out;
 }
 
@@ -165,15 +373,13 @@ bool AnswerSet::ApproxEquals(const AnswerSet& other, double eps) const {
   }
   if (tuples_.size() != other.tuples_.size()) return false;
   // Neither set holds two equal tuples, so equal sizes plus a partner
-  // for every tuple here make a one-to-one match. A NaN row finds none.
-  for (size_t pos = 0; pos < tuples_.size(); ++pos) {
-    const Row& row = tuples_[pos].values;
-    size_t match = other.Find(meta_[pos].hash, [&row](const Row& values) {
-      return RowsEqual(values, row);
-    });
+  // for every tuple here make a one-to-one match. A NaN cell has no code
+  // in the other set, so a NaN row finds none.
+  std::vector<uint32_t> key;
+  for (const AnswerTuple& t : tuples_) {
+    const size_t match = other.FindRow(t.values, &key);
     if (match == other.tuples_.size()) return false;
-    if (std::fabs(tuples_[pos].probability -
-                  other.tuples_[match].probability) > eps) {
+    if (std::fabs(t.probability - other.tuples_[match].probability) > eps) {
       return false;
     }
   }
@@ -184,17 +390,20 @@ std::string AnswerSet::ToString(size_t max_rows) const {
   std::string out = "(" + Join(column_names_, ", ") + ") [" +
                     std::to_string(tuples_.size()) + " tuples, P(θ)=" +
                     std::to_string(null_probability_) + "]\n";
-  auto sorted = Sorted();
-  size_t shown = std::min(max_rows, sorted.size());
+  std::vector<uint32_t> order(tuples_.size());
+  std::iota(order.begin(), order.end(), 0u);
+  Order(&order);
+  const size_t shown = std::min(max_rows, order.size());
   for (size_t i = 0; i < shown; ++i) {
+    const AnswerTuple& t = tuples_[order[i]];
     out += "  (";
-    for (size_t j = 0; j < sorted[i].values.size(); ++j) {
+    for (size_t j = 0; j < t.values.size(); ++j) {
       if (j > 0) out += ", ";
-      out += sorted[i].values[j].ToString();
+      out += t.values[j].ToString();
     }
-    out += ") p=" + std::to_string(sorted[i].probability) + "\n";
+    out += ") p=" + std::to_string(t.probability) + "\n";
   }
-  if (shown < sorted.size()) out += "  ...\n";
+  if (shown < order.size()) out += "  ...\n";
   return out;
 }
 

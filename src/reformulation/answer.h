@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,11 +28,17 @@ struct AnswerTuple {
 /// Rows are compared by value (Value::operator==); answers are keyed on
 /// the target-level output layout, so rows produced through different
 /// mappings (different source attributes) merge when their values agree.
-/// A row holding NaN equals nothing, so it never merges. Every method,
-/// top-k, threshold, set ops and the sharded merge accumulate through
-/// this one class: tuples keep their first-insertion order and each
-/// tuple's probability is summed in call order, so the same sequence of
-/// calls yields the same bits.
+/// A row holding NaN equals nothing, so it never merges, and rows of
+/// different widths never merge. Every method, top-k, threshold, set ops
+/// and the sharded merge accumulate through this one class: tuples keep
+/// their first-insertion order and each tuple's probability is summed in
+/// call order, so the same sequence of calls yields the same bits.
+///
+/// Tuples are indexed by per-column dense codes: each answer column maps
+/// the value classes of its cells (as Value::operator== and Value::Hash
+/// define them) to uint32 codes, and a tuple is found by its code tuple,
+/// never by comparing Values. Ordering runs on the same codes through
+/// per-column ranks (Order).
 class AnswerSet {
  public:
   AnswerSet() = default;
@@ -53,10 +60,10 @@ class AnswerSet {
   /// `columns` (positions in the cover's schema), NULL where an entry is
   /// negative. Each distinct answer row accumulates `prob` once, however
   /// many cover rows produce it (set semantics within a partition); new
-  /// tuples append in first-occurrence order. A row is hashed by
-  /// chaining the cover's cached cell hashes (HashRow of the answer
-  /// row) and compared in place, so it is built only when it starts a
-  /// new tuple. An empty cover is the θ outcome.
+  /// tuples append in first-occurrence order. Each picked cell of the
+  /// cover is coded once per call and a row is found by its codes, so a
+  /// row is built, from the cover's cells, only when it starts a new
+  /// tuple. An empty cover is the θ outcome.
   void AddCover(const algebra::DistinctCover& cover,
                 const std::vector<int>& columns, double prob);
   /// As above, reading every column of the cover in its own order.
@@ -77,11 +84,22 @@ class AnswerSet {
   /// Sum over tuples plus θ; ~1 for a complete evaluation.
   double TotalProbability() const;
 
+  /// Puts tuple positions (indexes into tuples()) in presentation order:
+  /// probability descending, ties by RowLess of the rows ascending. With
+  /// `k`, std::partial_sort puts the first min(k, size) in order, else
+  /// std::sort orders them all; either way the result is the
+  /// permutation that sort gives over copied tuples compared the same
+  /// way, NaN cells included (a NaN is equivalent to every number, above
+  /// NULL and below strings, as under Value::operator<). Rows are
+  /// compared through per-column ranks of their codes.
+  void Order(std::vector<uint32_t>* positions,
+             std::optional<size_t> k = std::nullopt) const;
+
   /// Tuples sorted by probability (descending), ties broken by row
-  /// order — a deterministic presentation.
+  /// order — a deterministic presentation (Order).
   std::vector<AnswerTuple> Sorted() const;
 
-  /// The k highest-probability tuples (ties broken deterministically).
+  /// The first k tuples of Sorted(); only those are copied.
   std::vector<AnswerTuple> TopK(size_t k) const;
 
   /// Approximate in-memory footprint of the answer tuples (used by the
@@ -95,31 +113,73 @@ class AnswerSet {
   std::string ToString(size_t max_rows = 20) const;
 
  private:
-  /// Index data of one tuple, parallel to tuples_.
-  struct TupleMeta {
-    size_t hash = 0;     ///< HashRow(values), reused on probe and growth
-    uint64_t stamp = 0;  ///< the last AddCover call that counted it
+  /// No code: a class not seen yet, or a NaN cell, which gets a fresh
+  /// code only when its row becomes a tuple. Real codes stay below it.
+  static constexpr uint32_t kNoCode = UINT32_MAX - 1;
+
+  /// The value classes of one answer column, each a dense code: `2` and
+  /// `2.0` share one and NULL has one, while every NaN occurrence gets a
+  /// fresh code that is never indexed, so a row holding NaN equals
+  /// nothing.
+  struct Column {
+    /// The code of `value`'s class (`hash` = value.Hash()), added if new.
+    uint32_t Code(const relational::Value& value, size_t hash) {
+      const uint32_t code = Find(value, hash);
+      return code != kNoCode ? code : Add(value, hash);
+    }
+    /// The code of `value`'s class, or kNoCode (always for NaN).
+    uint32_t Find(const relational::Value& value, size_t hash) const;
+    /// A new code for `value`, whose class has none: indexed, unless
+    /// `value` is NaN.
+    uint32_t Add(const relational::Value& value, size_t hash);
+
+    std::vector<relational::Value> values;  ///< per code: its first member
+    std::vector<size_t> hashes;             ///< per code: Value::Hash
+    /// Open-addressing table (linear probing) of codes plus one; 0 marks
+    /// an empty slot. Zero or a power of two, at least twice the codes.
+    std::vector<uint32_t> slots;
   };
 
-  /// Position of the tuple whose hash is `hash` and whose values satisfy
-  /// `equal`, or tuples_.size() when there is none.
-  template <typename Equal>
-  size_t Find(size_t hash, const Equal& equal) const;
-  /// Appends `values`, which equal no tuple yet, as a new tuple hashed
-  /// `hash`, doubling the table when it would pass half full.
-  void Insert(size_t hash, relational::Row values, double prob);
+  /// Code tuple of the tuple at `pos` (width_ entries; kAbsent past the
+  /// end of its row).
+  const uint32_t* codes(size_t pos) const {
+    return entries_.data() + pos * (width_ + 1) + 1;
+  }
+  /// Position of the tuple whose codes are `key` (width_ entries), hashed
+  /// `hash`, or tuples_.size() when there is none.
+  size_t Find(const uint32_t* key, size_t hash) const;
+  /// Position of the tuple equal to `row`, found through the column
+  /// dictionaries without adding to them, or tuples_.size(). `key` is
+  /// scratch space.
+  size_t FindRow(const relational::Row& row, std::vector<uint32_t>* key) const;
+  /// Appends `values`, coded `key` and equal to no tuple yet, as a new
+  /// tuple hashed `hash`, doubling the table when it would pass half full.
+  void Insert(const uint32_t* key, size_t hash, relational::Row values,
+              double prob);
+  /// Rebuilds slots_ at `num_slots` slots.
+  void Rehash(size_t num_slots);
+  /// Makes room for rows `width` cells wide: a wider row than any so far
+  /// adds columns, and every tuple's codes are padded with kAbsent.
+  void Widen(size_t width);
+  /// Starts a partition: a fresh stamp, clearing every tuple's stamp
+  /// when the counter wraps.
+  void NextStamp();
   /// Accumulates onto the tuple equal to `row`, or inserts it.
   template <typename RowRef>
   void Accumulate(RowRef&& row, double prob);
 
   std::vector<std::string> column_names_;
   std::vector<AnswerTuple> tuples_;
-  std::vector<TupleMeta> meta_;
+  /// Per tuple, width_ + 1 entries: the partition stamp (the last
+  /// AddCover call that counted it), then its code tuple.
+  std::vector<uint32_t> entries_;
+  std::vector<Column> columns_;  ///< width_ of them
+  size_t width_ = 0;             ///< cells in the widest row so far
   /// Open-addressing hash table (linear probing) of tuple positions
   /// plus one; 0 marks an empty slot. Its size is zero or a power of
   /// two, at least twice the tuple count.
   std::vector<uint32_t> slots_;
-  uint64_t stamp_ = 0;  ///< AddCover calls so far
+  uint32_t stamp_ = 0;  ///< AddCover calls so far, modulo the wrap
   double null_probability_ = 0.0;
 };
 

@@ -1,7 +1,5 @@
 #include "topk/threshold.h"
 
-#include <algorithm>
-
 #include "common/timer.h"
 #include "qsharing/qsharing.h"
 #include "reformulation/answer.h"
@@ -51,21 +49,22 @@ class ThresholdSink : public osharing::LeafVisitor {
 
   bool stopped_early() const { return stopped_early_; }
 
+  /// The qualifying tuples in presentation order; only their rows are
+  /// copied.
   std::vector<ThresholdEntry> Extract() const {
-    std::vector<ThresholdEntry> out;
-    for (const auto& e : seen_.tuples()) {
-      if (e.probability + kEps >= threshold_) {
-        out.push_back(ThresholdEntry{e.values, e.probability,
-                                     e.probability + remaining_});
-      }
+    const std::vector<reformulation::AnswerTuple>& entries = seen_.tuples();
+    std::vector<uint32_t> order;
+    for (uint32_t pos = 0; pos < entries.size(); ++pos) {
+      if (entries[pos].probability + kEps >= threshold_) order.push_back(pos);
     }
-    std::sort(out.begin(), out.end(),
-              [](const ThresholdEntry& a, const ThresholdEntry& b) {
-                if (a.lower_bound != b.lower_bound) {
-                  return a.lower_bound > b.lower_bound;
-                }
-                return relational::RowLess(a.values, b.values);
-              });
+    seen_.Order(&order);
+    std::vector<ThresholdEntry> out;
+    out.reserve(order.size());
+    for (uint32_t pos : order) {
+      const reformulation::AnswerTuple& e = entries[pos];
+      out.push_back(ThresholdEntry{e.values, e.probability,
+                                   e.probability + remaining_});
+    }
     return out;
   }
 

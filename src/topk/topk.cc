@@ -1,6 +1,7 @@
 #include "topk/topk.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/timer.h"
 #include "qsharing/qsharing.h"
@@ -69,22 +70,12 @@ class TopKSink : public osharing::LeafVisitor {
   }
 
   std::vector<TopKEntry> Extract() const {
-    // Only k rows are materialized; candidate ordering runs on indexes
-    // (answer sets can be large, row copies are not).
+    // Only k rows are copied; candidates are ordered by position.
     const std::vector<AnswerTuple>& entries = seen_.tuples();
-    std::vector<size_t> order(entries.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    size_t take = std::min(k_, order.size());
-    std::partial_sort(order.begin(),
-                      order.begin() + static_cast<long>(take), order.end(),
-                      [&entries](size_t a, size_t b) {
-                        if (entries[a].probability != entries[b].probability) {
-                          return entries[a].probability >
-                                 entries[b].probability;
-                        }
-                        return relational::RowLess(entries[a].values,
-                                                   entries[b].values);
-                      });
+    std::vector<uint32_t> order(entries.size());
+    std::iota(order.begin(), order.end(), 0u);
+    seen_.Order(&order, k_);
+    const size_t take = std::min(k_, order.size());
     std::vector<TopKEntry> out;
     out.reserve(take);
     for (size_t i = 0; i < take; ++i) {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <set>
 
 #include "common/random.h"
@@ -96,11 +98,38 @@ TEST_P(MurtyOracle, MatchesBruteForceEnumeration) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MurtyOracle, ::testing::Range(0, 25));
 
+/// Values whose order, equality and hash AnswerSet's dense codes rely
+/// on: "equivalent under < means ==, and == implies equal Hash". Beside
+/// the plain cases it holds those where numeric equality is least
+/// obvious: -0.0 against 0, the infinities, the smallest denormal, 2^53
+/// as a double against 2^53 and 2^53 + 1 as int64 (the latter rounds to
+/// 2^53, so all three are one class), and the int64 extremes.
 std::vector<Value> ValuePool() {
-  return {Value::Null(), Value(0),    Value(1),   Value(-3),
-          Value(2.5),    Value(2.0),  Value(2),   Value(1e9),
-          Value(""),     Value("a"),  Value("b"), Value("aa"),
-          Value("123"),  Value(-0.5), Value(42)};
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  return {Value::Null(),
+          Value(0),
+          Value(1),
+          Value(-3),
+          Value(2.5),
+          Value(2.0),
+          Value(2),
+          Value(1e9),
+          Value(""),
+          Value("a"),
+          Value("b"),
+          Value("aa"),
+          Value("123"),
+          Value(-0.5),
+          Value(42),
+          Value(-0.0),
+          Value(std::numeric_limits<double>::infinity()),
+          Value(-std::numeric_limits<double>::infinity()),
+          Value(std::numeric_limits<double>::denorm_min()),
+          Value(static_cast<double>(kTwo53)),
+          Value(kTwo53),
+          Value(kTwo53 + 1),
+          Value(std::numeric_limits<int64_t>::min()),
+          Value(std::numeric_limits<int64_t>::max())};
 }
 
 TEST(ValueOrderOracle, StrictWeakOrdering) {
@@ -134,6 +163,29 @@ TEST(ValueOrderOracle, EquivalenceMatchesEquality) {
         EXPECT_EQ(a.Hash(), b.Hash())
             << "hash inconsistent with equality: " << a.ToString();
       }
+    }
+  }
+}
+
+/// NaN is the one value outside the rule: it equals nothing, itself
+/// included, is unordered against every number, and is ordered by type
+/// against NULL (above) and strings (below).
+TEST(ValueOrderOracle, NaNEqualsNothingAndIsOrderedOnlyByType) {
+  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_FALSE(nan == nan);
+  EXPECT_FALSE(nan < nan);
+  for (const auto& v : ValuePool()) {
+    EXPECT_FALSE(nan == v) << v.ToString();
+    EXPECT_FALSE(v == nan) << v.ToString();
+    if (v.is_numeric()) {
+      EXPECT_FALSE(nan < v) << v.ToString();
+      EXPECT_FALSE(v < nan) << v.ToString();
+    } else if (v.is_null()) {
+      EXPECT_TRUE(v < nan);
+      EXPECT_FALSE(nan < v);
+    } else {
+      EXPECT_TRUE(nan < v) << v.ToString();
+      EXPECT_FALSE(v < nan) << v.ToString();
     }
   }
 }

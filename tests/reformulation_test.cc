@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 
 #include "algebra/evaluate.h"
 #include "common/random.h"
@@ -746,6 +747,145 @@ TEST(AnswerSetTest, CoverMatchesMaterializedReference) {
       if (!has_nan) got.Add(r.values, 0.0);
     }
     EXPECT_EQ(got.size(), size) << "seed " << seed;
+  }
+}
+
+/// The comparator AnswerSet ordered copied tuples with before it ranked
+/// codes: probability descending, ties by RowLess of the rows.
+bool RowOrderLess(const AnswerTuple& a, const AnswerTuple& b) {
+  if (a.probability != b.probability) return a.probability > b.probability;
+  return relational::RowLess(a.values, b.values);
+}
+
+/// Seeded reference test of the ordering routine: Order, Sorted and TopK
+/// must give, position by position, what std::sort / std::partial_sort
+/// of copied tuples under RowOrderLess gives — over rows of 1-3 columns
+/// mixing ints, `2` and `2.0`, doubles, -0.0, strings and NULL, with
+/// probabilities drawn from three values so rows decide most ties, and
+/// with and without NaN.
+TEST(AnswerSetTest, OrderMatchesRowLessReference) {
+  using relational::Row;
+  using relational::Value;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto same_tuple = [](const AnswerTuple& a, const AnswerTuple& b) {
+    if (a.values.size() != b.values.size()) return false;
+    for (size_t c = 0; c < a.values.size(); ++c) {
+      if (a.values[c].type() != b.values[c].type() ||
+          a.values[c].ToString() != b.values[c].ToString()) {
+        return false;
+      }
+    }
+    return SameBits(a.probability, b.probability);
+  };
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const bool with_nan = seed % 2 == 0;
+    auto value = [&]() -> Value {
+      switch (rng.Uniform(0, 7)) {
+        case 0:
+          return Value::Null();
+        case 1:
+          return Value(rng.Uniform(0, 3));
+        case 2:
+          return rng.Bernoulli(0.5) ? Value(2) : Value(2.0);
+        case 3:
+          return Value(rng.Uniform(0, 3) + 0.5);
+        case 4:
+          return rng.Bernoulli(0.5) ? Value(-0.0) : Value(0);
+        case 5:
+          return with_nan && rng.Bernoulli(0.3) ? Value(nan) : Value(-1.5);
+        default:
+          return Value(std::string(rng.Uniform(0, 2),
+                                   "ab"[rng.Uniform(0, 1)]));
+      }
+    };
+    // std::sort requires a strict weak order, which NaN breaks (it is
+    // equivalent to every number), so NaN sets stay at 16 tuples, where
+    // libstdc++ sorts by guarded insertion alone.
+    const int64_t max_tuples = with_nan ? 16 : 400;
+    const size_t arity = static_cast<size_t>(rng.Uniform(1, 3));
+    const bool mixed_widths = rng.Bernoulli(0.2);
+    AnswerSet answers({"x"});
+    for (int round = 0; round < 20 &&
+                        static_cast<int64_t>(answers.size()) < max_tuples;
+         ++round) {
+      const double p = 0.125 * static_cast<double>(rng.Uniform(1, 3));
+      std::vector<Row> rows;
+      const int64_t n = rng.Uniform(1, max_tuples / 4 + 1);
+      for (int64_t i = 0; i < n; ++i) {
+        const size_t width =
+            mixed_widths ? static_cast<size_t>(rng.Uniform(1, 3)) : arity;
+        Row row;
+        for (size_t c = 0; c < width; ++c) row.push_back(value());
+        rows.push_back(std::move(row));
+      }
+      if (mixed_widths || rng.Bernoulli(0.3)) {
+        for (const Row& row : rows) {
+          if (static_cast<int64_t>(answers.size()) >= max_tuples) break;
+          answers.Add(row, p);
+        }
+      } else {
+        while (static_cast<int64_t>(answers.size() + rows.size()) >
+               max_tuples) {
+          rows.pop_back();
+        }
+        if (!rows.empty()) answers.AddCover(OneFactorCover(rows, arity), p);
+      }
+    }
+    const std::vector<AnswerTuple>& tuples = answers.tuples();
+    const size_t n = tuples.size();
+    std::vector<uint32_t> identity(n);
+    std::iota(identity.begin(), identity.end(), 0u);
+    auto index_less = [&tuples](uint32_t a, uint32_t b) {
+      return RowOrderLess(tuples[a], tuples[b]);
+    };
+
+    // Full order: std::sort of copied tuples, and of positions.
+    std::vector<AnswerTuple> expected = tuples;
+    std::sort(expected.begin(), expected.end(), RowOrderLess);
+    std::vector<uint32_t> expected_order = identity;
+    std::sort(expected_order.begin(), expected_order.end(), index_less);
+    std::vector<uint32_t> order = identity;
+    answers.Order(&order);
+    ASSERT_EQ(order, expected_order) << "seed " << seed;
+    const std::vector<AnswerTuple> sorted = answers.Sorted();
+    ASSERT_EQ(sorted.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(same_tuple(sorted[i], expected[i]))
+          << "seed " << seed << " position " << i;
+    }
+
+    for (size_t k : {size_t{1}, size_t{3}, n / 2, n, n + 1}) {
+      // TopK is the first k of the full order.
+      const std::vector<AnswerTuple> top = answers.TopK(k);
+      ASSERT_EQ(top.size(), std::min(k, n));
+      for (size_t i = 0; i < top.size(); ++i) {
+        ASSERT_TRUE(same_tuple(top[i], expected[i]))
+            << "seed " << seed << " k " << k << " position " << i;
+      }
+      // Order with k: std::partial_sort over the first min(k, n).
+      const size_t take = std::min(k, n);
+      std::vector<uint32_t> expected_partial = identity;
+      std::partial_sort(expected_partial.begin(),
+                        expected_partial.begin() +
+                            static_cast<std::ptrdiff_t>(take),
+                        expected_partial.end(), index_less);
+      std::vector<uint32_t> partial = identity;
+      answers.Order(&partial, k);
+      ASSERT_TRUE(std::equal(partial.begin(),
+                             partial.begin() + static_cast<std::ptrdiff_t>(take),
+                             expected_partial.begin()))
+          << "seed " << seed << " k " << k;
+    }
+    // A subset (the threshold sinks' filtered positions) orders alike.
+    std::vector<uint32_t> subset;
+    for (uint32_t pos = 0; pos < n; ++pos) {
+      if (tuples[pos].probability >= 0.25) subset.push_back(pos);
+    }
+    std::vector<uint32_t> expected_subset = subset;
+    std::sort(expected_subset.begin(), expected_subset.end(), index_less);
+    answers.Order(&subset);
+    ASSERT_EQ(subset, expected_subset) << "seed " << seed;
   }
 }
 
