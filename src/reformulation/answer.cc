@@ -97,8 +97,9 @@ ColumnRanks RankCodes(const std::vector<Value>& values) {
     if (v.is_numeric()) ++out.numbers_end;
   }
   out.numbers_end += out.numbers_begin;
-  std::sort(order.begin(), order.end(),
-            [&values](uint32_t a, uint32_t b) { return values[a] < values[b]; });
+  std::sort(order.begin(), order.end(), [&values](uint32_t a, uint32_t b) {
+    return values[a] < values[b];
+  });
   out.rank.assign(values.size(), ColumnRanks::kNaN);
   for (uint32_t r = 0; r < order.size(); ++r) out.rank[order[r]] = r;
   return out;
@@ -131,27 +132,28 @@ uint32_t AnswerSet::Column::Add(const Value& value, size_t hash) {
 }
 
 size_t AnswerSet::Find(const uint32_t* key, size_t hash) const {
+  const size_t width = this->width();
   return Probe(slots_, hash, static_cast<uint32_t>(tuples_.size()),
                [&](uint32_t pos) {
-                 return std::equal(key, key + width_, codes(pos));
+                 return std::equal(key, key + width, codes(pos));
                });
 }
 
 size_t AnswerSet::FindRow(const Row& row, std::vector<uint32_t>* key) const {
-  if (row.size() > width_) return tuples_.size();
-  key->assign(width_, kAbsent);
+  if (row.size() > width()) return tuples_.size();
+  key->assign(width(), kAbsent);
   for (size_t i = 0; i < row.size(); ++i) {
     const uint32_t code = columns_[i].Find(row[i], row[i].Hash());
     if (code == kNoCode) return tuples_.size();
     (*key)[i] = code;
   }
-  return Find(key->data(), HashCodes(key->data(), width_));
+  return Find(key->data(), HashCodes(key->data(), width()));
 }
 
 void AnswerSet::Rehash(size_t num_slots) {
   slots_.assign(num_slots, 0);
   for (uint32_t pos = 0; pos < tuples_.size(); ++pos) {
-    Place(&slots_, HashCodes(codes(pos), width_), pos);
+    Place(&slots_, HashCodes(codes(pos), width()), pos);
   }
 }
 
@@ -160,7 +162,7 @@ void AnswerSet::Insert(const uint32_t* key, size_t hash, Row values,
   URM_CHECK(tuples_.size() < UINT32_MAX) << "answer set too large";
   tuples_.push_back(AnswerTuple{std::move(values), prob});
   entries_.push_back(stamp_);
-  for (size_t i = 0; i < width_; ++i) entries_.push_back(key[i]);
+  for (size_t i = 0, n = width(); i < n; ++i) entries_.push_back(key[i]);
   if (tuples_.size() * 2 <= slots_.size()) {
     Place(&slots_, hash, static_cast<uint32_t>(tuples_.size() - 1));
     return;
@@ -168,25 +170,23 @@ void AnswerSet::Insert(const uint32_t* key, size_t hash, Row values,
   Rehash(std::max<size_t>(16, slots_.size() * 2));
 }
 
-void AnswerSet::Widen(size_t width) {
-  if (width <= width_) return;
-  columns_.resize(width);
-  if (!tuples_.empty()) {
-    const size_t from = width_ + 1, to = width + 1;
-    std::vector<uint32_t> entries(tuples_.size() * to, kAbsent);
-    for (size_t pos = 0; pos < tuples_.size(); ++pos) {
-      std::copy_n(&entries_[pos * from], from, &entries[pos * to]);
-    }
-    entries_ = std::move(entries);
+void AnswerSet::Widen(size_t cells) {
+  const size_t from = width() + 1, to = cells + 1;
+  if (to <= from) return;
+  columns_.resize(cells);
+  if (tuples_.empty()) return;
+  std::vector<uint32_t> entries(tuples_.size() * to, kAbsent);
+  for (size_t pos = 0; pos < tuples_.size(); ++pos) {
+    std::copy_n(&entries_[pos * from], from, &entries[pos * to]);
   }
-  width_ = width;
-  if (!tuples_.empty()) Rehash(slots_.size());
+  entries_ = std::move(entries);
+  Rehash(slots_.size());
 }
 
 void AnswerSet::NextStamp() {
   if (++stamp_ != 0) return;
   for (size_t pos = 0; pos < tuples_.size(); ++pos) {
-    entries_[pos * (width_ + 1)] = 0;
+    entries_[pos * (width() + 1)] = 0;
   }
   stamp_ = 1;
 }
@@ -194,11 +194,11 @@ void AnswerSet::NextStamp() {
 template <typename RowRef>
 void AnswerSet::Accumulate(RowRef&& row, double prob) {
   Widen(row.size());
-  std::vector<uint32_t> key(width_, kAbsent);
+  std::vector<uint32_t> key(width(), kAbsent);
   for (size_t i = 0; i < row.size(); ++i) {
     key[i] = columns_[i].Code(row[i], row[i].Hash());
   }
-  const size_t hash = HashCodes(key.data(), width_);
+  const size_t hash = HashCodes(key.data(), key.size());
   const size_t pos = Find(key.data(), hash);
   if (pos < tuples_.size()) {
     tuples_[pos].probability += prob;
@@ -223,7 +223,7 @@ void AnswerSet::AddCover(const algebra::DistinctCover& cover,
   // repeated answer row adds nothing (set semantics per partition).
   NextStamp();
   Widen(columns.size());
-  std::vector<uint32_t> key(width_, kAbsent);
+  std::vector<uint32_t> key(width(), kAbsent);
   // Code every picked cell of each answer column once; a row's codes are
   // then its picks' codes. A NaN pick stays kNoCode until its row
   // becomes a tuple, so it matches nothing.
@@ -252,7 +252,7 @@ void AnswerSet::AddCover(const algebra::DistinctCover& cover,
       pick_codes.push_back(code);
     }
   }
-  const size_t stride = width_ + 1;
+  const size_t stride = width() + 1;
   // Consecutive cover rows mostly land on consecutive tuples (a
   // partition repeats an earlier one's rows in the same order), so the
   // tuple after the previous row's is tried before the table.
@@ -264,8 +264,9 @@ void AnswerSet::AddCover(const algebra::DistinctCover& cover,
     size_t pos = last + 1;
     size_t hash = 0;
     if (pos >= tuples_.size() ||
-        !std::equal(key.begin(), key.end(), codes(pos))) {
-      hash = HashCodes(key.data(), width_);
+        !std::equal(key.begin(), key.end(),
+                    entries_.data() + pos * stride + 1)) {
+      hash = HashCodes(key.data(), key.size());
       pos = Find(key.data(), hash);
     }
     last = pos;
@@ -284,11 +285,12 @@ void AnswerSet::AddCover(const algebra::DistinctCover& cover,
       key[r.column] = columns_[r.column].Add(cell, cell.Hash());
       nan = true;
     }
-    if (nan) hash = HashCodes(key.data(), width_);
+    if (nan) hash = HashCodes(key.data(), key.size());
     Row values;
     values.reserve(columns.size());
     for (int c : columns) {
-      values.push_back(c < 0 ? Value::Null() : row.cell(static_cast<size_t>(c)));
+      values.push_back(c < 0 ? Value::Null()
+                             : row.cell(static_cast<size_t>(c)));
     }
     Insert(key.data(), hash, std::move(values), prob);
   });
@@ -322,13 +324,14 @@ void AnswerSet::Order(std::vector<uint32_t>* positions,
   for (const Column& column : columns_) {
     ranks.push_back(RankCodes(column.values));
   }
-  auto less = [this, &ranks](uint32_t a, uint32_t b) {
+  const size_t width = this->width();
+  auto less = [this, &ranks, width](uint32_t a, uint32_t b) {
     const double pa = tuples_[a].probability, pb = tuples_[b].probability;
     if (pa != pb) return pa > pb;
     // RowLess of the two rows, a column at a time.
     const uint32_t* ca = codes(a);
     const uint32_t* cb = codes(b);
-    for (size_t i = 0; i < width_; ++i) {
+    for (size_t i = 0; i < width; ++i) {
       const uint32_t x = ca[i], y = cb[i];
       if (x == y) continue;
       // Equal up to here: the row that ends first is the smaller.

@@ -140,12 +140,14 @@ class AnswerSet {
     std::vector<uint32_t> slots;
   };
 
-  /// Code tuple of the tuple at `pos` (width_ entries; kAbsent past the
+  /// Cells in the widest row so far: the codes per tuple.
+  size_t width() const { return columns_.size(); }
+  /// Code tuple of the tuple at `pos` (width() entries; kAbsent past the
   /// end of its row).
   const uint32_t* codes(size_t pos) const {
-    return entries_.data() + pos * (width_ + 1) + 1;
+    return entries_.data() + pos * (width() + 1) + 1;
   }
-  /// Position of the tuple whose codes are `key` (width_ entries), hashed
+  /// Position of the tuple whose codes are `key` (width() entries), hashed
   /// `hash`, or tuples_.size() when there is none.
   size_t Find(const uint32_t* key, size_t hash) const;
   /// Position of the tuple equal to `row`, found through the column
@@ -158,9 +160,9 @@ class AnswerSet {
               double prob);
   /// Rebuilds slots_ at `num_slots` slots.
   void Rehash(size_t num_slots);
-  /// Makes room for rows `width` cells wide: a wider row than any so far
-  /// adds columns, and every tuple's codes are padded with kAbsent.
-  void Widen(size_t width);
+  /// Makes room for rows `cells` wide: a wider row than any so far adds
+  /// columns, and every tuple's codes are padded with kAbsent.
+  void Widen(size_t cells);
   /// Starts a partition: a fresh stamp, clearing every tuple's stamp
   /// when the counter wraps.
   void NextStamp();
@@ -170,11 +172,10 @@ class AnswerSet {
 
   std::vector<std::string> column_names_;
   std::vector<AnswerTuple> tuples_;
-  /// Per tuple, width_ + 1 entries: the partition stamp (the last
+  /// Per tuple, width() + 1 entries: the partition stamp (the last
   /// AddCover call that counted it), then its code tuple.
   std::vector<uint32_t> entries_;
-  std::vector<Column> columns_;  ///< width_ of them
-  size_t width_ = 0;             ///< cells in the widest row so far
+  std::vector<Column> columns_;  ///< one per cell of the widest row
   /// Open-addressing hash table (linear probing) of tuple positions
   /// plus one; 0 marks an empty slot. Its size is zero or a power of
   /// two, at least twice the tuple count.

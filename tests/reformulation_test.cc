@@ -441,6 +441,11 @@ TEST(AnswerSetTest, CopiesAndMovesKeepAWorkingIndex) {
   EXPECT_EQ(moved.tuples()[1000].probability, 0.5);
   EXPECT_EQ(moved.tuples()[20].probability, 0.75);
   EXPECT_EQ(original.tuples()[20].probability, 0.5);
+  // The moved-from set is empty and takes rows again.
+  copy.Add({Value(7)}, 0.5);
+  copy.AddCover(OneFactorCover({{Value(7)}}, 1), {0}, 0.25);
+  ASSERT_EQ(copy.size(), 1u);
+  EXPECT_EQ(copy.tuples()[0].probability, 0.75);
 }
 
 /// Seeded differential test against the definition: a linear-scan
@@ -872,9 +877,8 @@ TEST(AnswerSetTest, OrderMatchesRowLessReference) {
                         expected_partial.end(), index_less);
       std::vector<uint32_t> partial = identity;
       answers.Order(&partial, k);
-      ASSERT_TRUE(std::equal(partial.begin(),
-                             partial.begin() + static_cast<std::ptrdiff_t>(take),
-                             expected_partial.begin()))
+      const auto end = partial.begin() + static_cast<std::ptrdiff_t>(take);
+      ASSERT_TRUE(std::equal(partial.begin(), end, expected_partial.begin()))
           << "seed " << seed << " k " << k;
     }
     // A subset (the threshold sinks' filtered positions) orders alike.
