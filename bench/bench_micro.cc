@@ -62,13 +62,11 @@ BENCHMARK(BM_StringSimilarity);
 void BM_Hungarian(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   Rng rng(5);
-  std::vector<std::vector<double>> cost(
-      static_cast<size_t>(n), std::vector<double>(static_cast<size_t>(n)));
-  for (auto& row : cost) {
-    for (auto& c : row) c = rng.NextDouble();
-  }
+  mapping::CostMatrix cost(n, n, 0.0);
+  for (auto& c : cost.cells) c = rng.NextDouble();
+  mapping::AssignmentWorkspace workspace;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mapping::SolveAssignment(cost));
+    benchmark::DoNotOptimize(mapping::SolveAssignment(cost, &workspace));
   }
 }
 BENCHMARK(BM_Hungarian)->Arg(16)->Arg(64);

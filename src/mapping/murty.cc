@@ -1,9 +1,9 @@
 #include "mapping/murty.h"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 
-#include "common/logging.h"
 #include "mapping/hungarian.h"
 
 namespace urm {
@@ -42,39 +42,52 @@ Result<std::vector<MatchingSolution>> KBestMatchings(
     if (e.row < 0 || e.row >= num_rows || e.col < 0 || e.col >= num_cols) {
       return Status::OutOfRange("edge endpoint out of range");
     }
-    if (e.weight <= 0.0) {
-      return Status::InvalidArgument("edge weights must be positive");
+    if (!std::isfinite(e.weight) || e.weight <= 0.0) {
+      return Status::InvalidArgument(
+          "edge weights must be positive and finite");
     }
     max_weight = std::max(max_weight, e.weight);
   }
 
-  // Square embedding: N = R + C. Entry base cost W ensures minimizing
-  // cost maximizes total weight (cost = N*W - sum of chosen weights).
+  // One row per target, one column per source plus one skip column per
+  // row (column C + i is row i's). Entry base cost W ensures minimizing
+  // cost maximizes total weight.
   const int R = num_rows, C = num_cols, N = R + C;
   const double W = max_weight + 1.0;
-  std::vector<std::vector<double>> base(
-      static_cast<size_t>(N),
-      std::vector<double>(static_cast<size_t>(N), kForbiddenCost));
-  for (const auto& e : edges) {
-    base[e.row][e.col] = W - e.weight;
+  // A cell's cost is a sum of N entries of at most W each.
+  if (!std::isfinite(W * N)) {
+    return Status::InvalidArgument("edge weights too large");
   }
-  for (int i = 0; i < R; ++i) base[i][C + i] = W;      // row skip
-  for (int j = 0; j < C; ++j) base[R + j][j] = W;      // col skip
-  for (int i = R; i < N; ++i) {
-    for (int j = C; j < N; ++j) base[i][j] = W;        // dummy-dummy
-  }
+  CostMatrix base(R, N, kForbiddenCost);
+  for (const auto& e : edges) base.at(e.row, e.col) = W - e.weight;
+  for (int i = 0; i < R; ++i) base.at(i, C + i) = W;
 
-  auto solve = [&](const Node& node) -> AssignmentResult {
-    std::vector<std::vector<double>> cost = base;
-    for (const auto& [i, j] : node.forbidden) {
-      cost[i][j] = kForbiddenCost;
-    }
-    for (const auto& [i, j] : node.forced) {
+  CostMatrix cost;
+  AssignmentWorkspace workspace;
+  std::vector<int> holder(static_cast<size_t>(N));
+  // Solves `node`'s cell into its row_to_col and cost; false if empty.
+  auto solve = [&](Node* node) {
+    cost = base;
+    for (const auto& [i, j] : node->forbidden) cost.at(i, j) = kForbiddenCost;
+    for (const auto& [i, j] : node->forced) {
       for (int jj = 0; jj < N; ++jj) {
-        if (jj != j) cost[i][jj] = kForbiddenCost;
+        if (jj != j) cost.at(i, jj) = kForbiddenCost;
       }
     }
-    return SolveAssignment(cost);
+    AssignmentResult best = SolveAssignment(cost, &workspace);
+    if (!best.feasible) return false;
+    // The queue ranks cells by the cost of the square (R + C)² embedding
+    // with one W-cost row per source column: summed over the columns in
+    // index order, W wherever no row of ours holds the column. The
+    // order among equal-weight matchings depends on these exact bits.
+    std::fill(holder.begin(), holder.end(), -1);
+    for (int i = 0; i < R; ++i) holder[best.row_to_col[i]] = i;
+    node->cost = 0.0;
+    for (int j = 0; j < N; ++j) {
+      node->cost += holder[j] >= 0 ? base.at(holder[j], j) : W;
+    }
+    node->row_to_col = std::move(best.row_to_col);
+    return true;
   };
 
   auto to_solution = [&](const std::vector<int>& row_to_col) {
@@ -83,7 +96,7 @@ Result<std::vector<MatchingSolution>> KBestMatchings(
       int j = row_to_col[i];
       if (j < C) {
         sol.edges.emplace_back(i, j);
-        sol.weight += W - base[i][j];
+        sol.weight += W - base.at(i, j);
       }
     }
     return sol;
@@ -92,12 +105,7 @@ Result<std::vector<MatchingSolution>> KBestMatchings(
   std::priority_queue<Node, std::vector<Node>, NodeCostGreater> queue;
   {
     Node root;
-    AssignmentResult best = solve(root);
-    if (best.feasible) {
-      root.row_to_col = std::move(best.row_to_col);
-      root.cost = best.cost;
-      queue.push(std::move(root));
-    }
+    if (solve(&root)) queue.push(std::move(root));
   }
 
   std::vector<MatchingSolution> out;
@@ -106,9 +114,8 @@ Result<std::vector<MatchingSolution>> KBestMatchings(
     queue.pop();
     out.push_back(to_solution(node.row_to_col));
 
-    // Partition the cell on the real rows' assignments only; matchings
-    // differing in dummy-row bookkeeping share a real signature and
-    // must not be enumerated again.
+    // Partition the cell on each row's assignment, skip columns
+    // included, so every matching lies in exactly one child.
     Node child;
     child.forced = node.forced;
     child.forbidden = node.forbidden;
@@ -124,12 +131,7 @@ Result<std::vector<MatchingSolution>> KBestMatchings(
       if (!already_forced) {
         Node branch = child;
         branch.forbidden.emplace_back(i, node.row_to_col[i]);
-        AssignmentResult sub = solve(branch);
-        if (sub.feasible) {
-          branch.row_to_col = std::move(sub.row_to_col);
-          branch.cost = sub.cost;
-          queue.push(std::move(branch));
-        }
+        if (solve(&branch)) queue.push(std::move(branch));
       }
       child.forced.emplace_back(i, node.row_to_col[i]);
     }

@@ -12,10 +12,16 @@
 /// cites ([9],[10]) for deriving the h possible mappings with the
 /// highest similarity scores from a matcher's similarity matrix.
 ///
-/// Duplicate suppression: the assignment problem is embedded in a square
-/// matrix with per-row skip columns and per-column skip rows; Murty
-/// partitioning branches only on *real-row* assignments, so matchings
-/// that differ solely in dummy bookkeeping are never enumerated twice.
+/// Each Murty cell is solved as a rectangular assignment on an
+/// R × (C + R) matrix, one row per target and one column per source
+/// plus one skip column per row: an edge costs W − weight and row i's
+/// skip column C + i costs W, W = max weight + 1, so a minimum-cost
+/// assignment is a maximum-weight partial matching and a matching is
+/// exactly one assignment. Cells are ranked by the cost of the square
+/// (R + C)² embedding that also gives each source column a W-cost skip
+/// row, summed over the columns in index order; with the solver's
+/// deterministic tie-breaking this fixes the order among equal-weight
+/// matchings.
 
 namespace urm {
 namespace mapping {
@@ -36,7 +42,7 @@ struct MatchingSolution {
 
 /// Returns up to `k` distinct partial matchings in non-increasing weight
 /// order. Weights must be positive (a zero-weight edge is never
-/// preferable to leaving both nodes unmatched).
+/// preferable to leaving both nodes unmatched) and finite.
 Result<std::vector<MatchingSolution>> KBestMatchings(
     int num_rows, int num_cols, const std::vector<WeightedEdge>& edges,
     int k);

@@ -65,15 +65,14 @@ class NameMatcher {
                              const std::string& target_qualified) const;
 
   /// All correspondences scoring >= threshold, sorted by target then
-  /// source attribute. `seeds` entries are merged in with max().
+  /// source attribute. `seeds` entries are merged in with max(). Each
+  /// score equals AttributeSimilarity's; every attribute is tokenized
+  /// once and every token pair scored once per call.
   std::vector<Correspondence> Match(const SchemaDef& source,
                                     const SchemaDef& target,
                                     const SeedScores& seeds = {}) const;
 
  private:
-  double TokenSetSimilarity(const std::vector<std::string>& a,
-                            const std::vector<std::string>& b) const;
-
   SynonymDictionary dictionary_;
   MatcherOptions options_;
 };

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+
+#include "datagen/target_schemas.h"
+#include "datagen/tpch.h"
 #include "matching/matcher.h"
 #include "matching/schema_def.h"
 #include "matching/similarity.h"
@@ -140,6 +146,44 @@ TEST(MatcherTest, OutputSortedByTargetThenSource) {
   ASSERT_GE(result.size(), 2u);
   for (size_t i = 1; i < result.size(); ++i) {
     EXPECT_FALSE(result[i] < result[i - 1]);
+  }
+}
+
+TEST(MatcherTest, MatchScoresEveryPairAsAttributeSimilarity) {
+  // Match shares tokens and token scores across pairs; each score must
+  // still be AttributeSimilarity's, seeds folded in with max(), to the
+  // bit, on the three paper schemas against TPC-H.
+  NameMatcher matcher;
+  const SchemaDef source = datagen::TpchSchema();
+  auto bits = [](double d) {
+    uint64_t b;
+    std::memcpy(&b, &d, sizeof(b));
+    return b;
+  };
+  for (datagen::TargetSchemaId id : datagen::AllTargetSchemas()) {
+    datagen::TargetSchemaBundle bundle = datagen::GetTargetSchema(id);
+    std::vector<Correspondence> expected;
+    for (const auto& tgt : bundle.schema.AllAttributes()) {
+      for (const auto& src : source.AllAttributes()) {
+        double score = matcher.AttributeSimilarity(src, tgt);
+        auto seed = bundle.seeds.find({tgt, src});
+        if (seed != bundle.seeds.end()) {
+          score = std::max(score, seed->second);
+        } else if (score < MatcherOptions().threshold) {
+          continue;
+        }
+        expected.push_back(Correspondence{src, tgt, score});
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    auto got = matcher.Match(source, bundle.schema, bundle.seeds);
+    ASSERT_EQ(got.size(), expected.size()) << datagen::TargetSchemaName(id);
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].source_attr, expected[i].source_attr);
+      EXPECT_EQ(got[i].target_attr, expected[i].target_attr);
+      EXPECT_EQ(bits(got[i].score), bits(expected[i].score))
+          << got[i].ToString() << " vs " << expected[i].ToString();
+    }
   }
 }
 

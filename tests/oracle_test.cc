@@ -98,6 +98,67 @@ TEST_P(MurtyOracle, MatchesBruteForceEnumeration) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MurtyOracle, ::testing::Range(0, 25));
 
+/// Tie-heavy graphs: weights come from 2–4 levels, so many matchings
+/// share a weight. Which of two equal-weight matchings Murty returns
+/// first is its own choice and is not asserted; the weight sequence,
+/// distinctness, validity and the cut at k are.
+class MurtyTieOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(MurtyTieOracle, WeightSequenceMatchesBruteForceUnderTies) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 577 + 41);
+  int rows = static_cast<int>(rng.Uniform(1, 5));
+  int cols = static_cast<int>(rng.Uniform(1, 5));
+  int levels = static_cast<int>(rng.Uniform(2, 4));
+  std::vector<WeightedEdge> edges;
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      if (rng.Bernoulli(0.7)) {
+        // Multiples of 0.5: every sum is exact.
+        edges.push_back(WeightedEdge{
+            r, c, 0.5 * static_cast<double>(rng.Uniform(1, levels))});
+      }
+    }
+  }
+
+  std::vector<MatchingSolution> all = AllMatchings(rows, edges);
+  std::vector<double> expected;
+  for (const auto& s : all) expected.push_back(s.weight);
+  std::sort(expected.begin(), expected.end(), std::greater<double>());
+  const int k = static_cast<int>(
+      rng.Uniform(1, static_cast<int64_t>(all.size()) + 2));
+
+  auto got = KBestMatchings(rows, cols, edges, k);
+  ASSERT_TRUE(got.ok());
+  const auto& sols = got.ValueOrDie();
+  ASSERT_EQ(sols.size(), std::min(all.size(), static_cast<size_t>(k)));
+  std::set<std::vector<std::pair<int, int>>> returned;
+  for (size_t i = 0; i < sols.size(); ++i) {
+    EXPECT_DOUBLE_EQ(sols[i].weight, expected[i]) << "rank " << i;
+    EXPECT_TRUE(returned.insert(sols[i].edges).second) << "rank " << i;
+    std::set<int> used_rows, used_cols;
+    double weight = 0.0;
+    for (const auto& [r, c] : sols[i].edges) {
+      EXPECT_TRUE(used_rows.insert(r).second);
+      EXPECT_TRUE(used_cols.insert(c).second);
+      auto e = std::find_if(edges.begin(), edges.end(),
+                            [&](const WeightedEdge& e) {
+                              return e.row == r && e.col == c;
+                            });
+      ASSERT_NE(e, edges.end()) << "(" << r << ", " << c << ")";
+      weight += e->weight;
+    }
+    EXPECT_DOUBLE_EQ(weight, sols[i].weight) << "rank " << i;
+  }
+  // No matching left out outweighs the last one returned.
+  for (const auto& s : all) {
+    if (returned.count(s.edges) == 0) {
+      EXPECT_LE(s.weight, sols.back().weight);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MurtyTieOracle, ::testing::Range(0, 100));
+
 /// Values whose order, equality and hash AnswerSet's dense codes rely
 /// on: "equivalent under < means ==, and == implies equal Hash". Beside
 /// the plain cases it holds those where numeric equality is least
