@@ -92,8 +92,8 @@ TEST(HungarianTest, ForbiddenEdgesMakeInfeasible) {
 }
 
 TEST(HungarianTest, FewerRowsThanColumns) {
-  // Row 0 is cheapest in column 1, row 1 in column 1 too; the optimum
-  // gives column 1 to row 1 (saves 7) and row 0 its second choice.
+  // Both rows are cheapest in column 1. The optimum, 3, gives it to
+  // row 1 and column 2 to row 0; the other way round costs 1 + 5 = 6.
   CostMatrix cost(2, 4, 0.0);
   cost.cells = {6, 1, 3, 9,
                 8, 0, 7, 5};
