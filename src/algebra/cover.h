@@ -39,8 +39,8 @@ Result<relational::Relation> AggregateCover(
 /// the picks in Relation::Product order (the last factor turning
 /// fastest), with values in `columns` order — the rows Project(columns)
 /// + Distinct of the materialized product would keep, in the same
-/// order. Rows are built only by AppendRows; ForEachRow reads them in
-/// place. Copies share the factors.
+/// order. Rows are built only by AppendRows; ForEachRow and RowAt read
+/// them in place. Copies share the factors.
 class DistinctCover {
  public:
   /// The empty cover: no columns and no rows (the θ outcome).
@@ -111,6 +111,17 @@ class DistinctCover {
       visit(static_cast<const Cursor&>(cursor));
       cursor.Advance();
     }
+  }
+
+  /// The row ForEachRow visits `n`-th (n < num_rows()): each share's
+  /// pick is one digit of `n`, the last share the lowest.
+  Cursor RowAt(size_t n) const {
+    Cursor cursor(this);
+    for (size_t s = shares_.size(); s-- > 0;) {
+      cursor.picks_[s] = n % shares_[s].picks;
+      n /= shares_[s].picks;
+    }
+    return cursor;
   }
 
  private:

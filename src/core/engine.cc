@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <numeric>
 #include <optional>
 #include <set>
 
@@ -500,16 +499,24 @@ Result<Response> Engine::RunSharded(const Request& request,
       return response;
     }
     case RequestKind::kThreshold: {
-      const auto& tuples = combined.answers.tuples();
-      std::vector<uint32_t> order(tuples.size());
-      std::iota(order.begin(), order.end(), 0u);
+      // Only the qualifying tuples are ordered, and their rows are moved
+      // out of the merged set, which is not read again.
+      std::vector<uint32_t> order;
+      for (uint32_t pos = 0; pos < combined.answers.size(); ++pos) {
+        if (combined.answers.probability(pos) + kShardMergeEps >=
+            request.threshold) {
+          order.push_back(pos);
+        }
+      }
       combined.answers.Order(&order);
+      std::vector<reformulation::AnswerTuple> tuples =
+          std::move(combined.answers).TakeTuples();
       topk::ThresholdResult result;
+      result.tuples.reserve(order.size());
       for (uint32_t pos : order) {
-        const reformulation::AnswerTuple& t = tuples[pos];
-        if (t.probability + kShardMergeEps < request.threshold) break;
-        result.tuples.push_back(
-            topk::ThresholdEntry{t.values, t.probability, t.probability});
+        reformulation::AnswerTuple& t = tuples[pos];
+        result.tuples.push_back(topk::ThresholdEntry{
+            std::move(t.values), t.probability, t.probability});
       }
       result.early_terminated = false;
       result.leaves_visited = combined.source_queries;

@@ -87,7 +87,7 @@ Status ValidateRequest(const Request& request) {
       }
       return Status::OK();
     case RequestKind::kThreshold:
-      if (request.threshold <= 0.0 || request.threshold > 1.0) {
+      if (!(request.threshold > 0.0 && request.threshold <= 1.0)) {
         return Status::InvalidArgument("threshold must be in (0, 1]");
       }
       return Status::OK();

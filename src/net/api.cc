@@ -499,7 +499,7 @@ bool ParseQueryBody(const std::string& body, ParsedQuery* out,
   } else if (kind == "threshold") {
     const json::Value* threshold = root.Find("threshold");
     if (threshold == nullptr || !threshold->is_number() ||
-        threshold->AsDouble() <= 0.0 || threshold->AsDouble() > 1.0) {
+        !(threshold->AsDouble() > 0.0 && threshold->AsDouble() <= 1.0)) {
       return Fail(error, 400, "bad_threshold",
                   "threshold requires \"threshold\" in (0, 1]");
     }

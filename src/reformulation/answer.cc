@@ -73,6 +73,8 @@ struct ColumnRanks {
   std::vector<uint32_t> rank;
   uint32_t numbers_begin = 0;
   uint32_t numbers_end = 0;
+  uint32_t num_ranks = 0;  ///< non-NaN classes
+  bool has_nan = false;    ///< some code is a NaN
 
   /// The type rank Value::operator< gives the code ranked `r`: NULL 0,
   /// numbers (NaN included) 1, strings 2.
@@ -102,7 +104,28 @@ ColumnRanks RankCodes(const std::vector<Value>& values) {
   });
   out.rank.assign(values.size(), ColumnRanks::kNaN);
   for (uint32_t r = 0; r < order.size(); ++r) out.rank[order[r]] = r;
+  out.num_ranks = static_cast<uint32_t>(order.size());
+  out.has_nan = order.size() < values.size();
   return out;
+}
+
+/// Bits that hold every value up to `n`.
+unsigned BitsFor(uint64_t n) {
+  unsigned bits = 0;
+  for (; n != 0; n >>= 1) ++bits;
+  return bits;
+}
+
+/// The answer row of cover row `row` under `columns`, as AddCover builds
+/// it: the cell at each entry, NULL where an entry is negative.
+Row CoverRow(const algebra::DistinctCover::Cursor& row,
+             const std::vector<int>& columns) {
+  Row values;
+  values.reserve(columns.size());
+  for (int c : columns) {
+    values.push_back(c < 0 ? Value::Null() : row.cell(static_cast<size_t>(c)));
+  }
+  return values;
 }
 
 }  // namespace
@@ -193,6 +216,7 @@ void AnswerSet::NextStamp() {
 
 template <typename RowRef>
 void AnswerSet::Accumulate(RowRef&& row, double prob) {
+  CheckRows();
   Widen(row.size());
   std::vector<uint32_t> key(width(), kAbsent);
   for (size_t i = 0; i < row.size(); ++i) {
@@ -213,8 +237,37 @@ void AnswerSet::Add(Row&& row, double prob) {
   Accumulate(std::move(row), prob);
 }
 
+void AnswerSet::CheckRows() const {
+  URM_CHECK(!defer_rows_) << "rows are deferred: read them through BuildRow";
+}
+
+void AnswerSet::DeferRows() {
+  URM_CHECK(tuples_.empty()) << "rows can be deferred only on an empty set";
+  defer_rows_ = true;
+}
+
+const std::vector<AnswerTuple>& AnswerSet::tuples() const {
+  CheckRows();
+  return tuples_;
+}
+
+Row AnswerSet::BuildRow(size_t pos) const {
+  if (!defer_rows_) return tuples_[pos].values;
+  const RowSource& source = sources_[pos];
+  const KeptCover& kept = kept_[source.cover];
+  return CoverRow(kept.cover.RowAt(source.ordinal), kept.columns);
+}
+
+std::vector<AnswerTuple> AnswerSet::TakeTuples() && {
+  CheckRows();
+  std::vector<AnswerTuple> out = std::move(tuples_);
+  *this = AnswerSet(std::move(column_names_));
+  return out;
+}
+
 void AnswerSet::AddCover(const algebra::DistinctCover& cover,
-                         const std::vector<int>& columns, double prob) {
+                         const std::vector<int>& columns, double prob,
+                         std::vector<uint32_t>* touched) {
   if (cover.empty()) {
     AddNull(prob);
     return;
@@ -257,7 +310,10 @@ void AnswerSet::AddCover(const algebra::DistinctCover& cover,
   // partition repeats an earlier one's rows in the same order), so the
   // tuple after the previous row's is tried before the table.
   size_t last = SIZE_MAX;
+  size_t ordinal = 0;  // of the row in ForEachRow order
+  bool kept = false;   // whether kept_ holds this cover yet
   cover.ForEachRow([&](const algebra::DistinctCover::Cursor& row) {
+    const size_t n = ordinal++;
     for (const Read& r : reads) {
       key[r.column] = pick_codes[r.first + row.pick(r.share)];
     }
@@ -275,6 +331,7 @@ void AnswerSet::AddCover(const algebra::DistinctCover& cover,
       if (stamp != stamp_) {
         stamp = stamp_;
         tuples_[pos].probability += prob;
+        if (touched != nullptr) touched->push_back(static_cast<uint32_t>(pos));
       }
       return;
     }
@@ -286,20 +343,29 @@ void AnswerSet::AddCover(const algebra::DistinctCover& cover,
       nan = true;
     }
     if (nan) hash = HashCodes(key.data(), key.size());
-    Row values;
-    values.reserve(columns.size());
-    for (int c : columns) {
-      values.push_back(c < 0 ? Value::Null()
-                             : row.cell(static_cast<size_t>(c)));
+    if (touched != nullptr) {
+      touched->push_back(static_cast<uint32_t>(tuples_.size()));
     }
-    Insert(key.data(), hash, std::move(values), prob);
+    if (!defer_rows_) {
+      Insert(key.data(), hash, CoverRow(row, columns), prob);
+      return;
+    }
+    if (!kept) {
+      URM_CHECK(kept_.size() < UINT32_MAX) << "too many kept covers";
+      kept_.push_back(KeptCover{cover, columns});
+      kept = true;
+    }
+    sources_.push_back(
+        RowSource{static_cast<uint32_t>(kept_.size() - 1), n});
+    Insert(key.data(), hash, Row(), prob);
   });
 }
 
-void AnswerSet::AddCover(const algebra::DistinctCover& cover, double prob) {
+void AnswerSet::AddCover(const algebra::DistinctCover& cover, double prob,
+                         std::vector<uint32_t>* touched) {
   std::vector<int> columns(cover.schema().num_columns());
   std::iota(columns.begin(), columns.end(), 0);
-  AddCover(cover, columns, prob);
+  AddCover(cover, columns, prob, touched);
 }
 
 double AnswerSet::TotalProbability() const {
@@ -309,6 +375,7 @@ double AnswerSet::TotalProbability() const {
 }
 
 size_t AnswerSet::ApproxBytes() const {
+  CheckRows();
   size_t bytes = 0;
   for (const auto& t : tuples_) {
     bytes += relational::ApproxRowBytes(t.values) + sizeof(double);
@@ -325,13 +392,10 @@ void AnswerSet::Order(std::vector<uint32_t>* positions,
     ranks.push_back(RankCodes(column.values));
   }
   const size_t width = this->width();
-  auto less = [this, &ranks, width](uint32_t a, uint32_t b) {
-    const double pa = tuples_[a].probability, pb = tuples_[b].probability;
-    if (pa != pb) return pa > pb;
-    // RowLess of the two rows, a column at a time.
-    const uint32_t* ca = codes(a);
-    const uint32_t* cb = codes(b);
-    for (size_t i = 0; i < width; ++i) {
+  // RowLess of two code tuples, equal before column `from`.
+  auto row_less = [&ranks, width](const uint32_t* ca, const uint32_t* cb,
+                                  size_t from) {
+    for (size_t i = from; i < width; ++i) {
       const uint32_t x = ca[i], y = cb[i];
       if (x == y) continue;
       // Equal up to here: the row that ends first is the smaller.
@@ -346,12 +410,57 @@ void AnswerSet::Order(std::vector<uint32_t>* positions,
     return false;
   };
   if (k) {
+    // A few tuples are wanted, so most are compared only against the
+    // k-th: keys would cost more than they save.
+    auto less = [this, &row_less](uint32_t a, uint32_t b) {
+      const double pa = tuples_[a].probability, pb = tuples_[b].probability;
+      if (pa != pb) return pa > pb;
+      return row_less(codes(a), codes(b), 0);
+    };
     const auto middle =
         positions->begin() +
         static_cast<std::ptrdiff_t>(std::min(*k, positions->size()));
     std::partial_sort(positions->begin(), middle, positions->end(), less);
-  } else {
-    std::sort(positions->begin(), positions->end(), less);
+    return;
+  }
+  // The leading NaN-free columns whose ranks fit in 64 bits, each rank
+  // plus one (0 past the end of a row), packed first column highest:
+  // keys compare as those columns compare under row_less, so sorting
+  // (probability, key, position) entries takes the same comparator
+  // outcomes as sorting positions, and the same permutation.
+  std::vector<unsigned> bits;
+  for (size_t i = 0, total = 0; i < width && !ranks[i].has_nan; ++i) {
+    const unsigned need = BitsFor(ranks[i].num_ranks);
+    if (total + need > 64) break;
+    total += need;
+    bits.push_back(need);
+  }
+  const size_t packed = bits.size();
+  struct Entry {
+    double probability;
+    uint64_t key;
+    uint32_t pos;
+  };
+  std::vector<Entry> entries;
+  entries.reserve(positions->size());
+  for (uint32_t pos : *positions) {
+    const uint32_t* c = codes(pos);
+    uint64_t key = 0;
+    for (size_t i = 0; i < packed; ++i) {
+      key = (key << bits[i]) | (c[i] == kAbsent ? 0 : ranks[i].rank[c[i]] + 1);
+    }
+    entries.push_back(Entry{tuples_[pos].probability, key, pos});
+  }
+  std::sort(entries.begin(), entries.end(),
+            [this, &row_less, packed](const Entry& a, const Entry& b) {
+              if (a.probability != b.probability) {
+                return a.probability > b.probability;
+              }
+              if (a.key != b.key) return a.key < b.key;
+              return row_less(codes(a.pos), codes(b.pos), packed);
+            });
+  for (size_t i = 0; i < entries.size(); ++i) {
+    (*positions)[i] = entries[i].pos;
   }
 }
 
@@ -360,6 +469,7 @@ std::vector<AnswerTuple> AnswerSet::Sorted() const {
 }
 
 std::vector<AnswerTuple> AnswerSet::TopK(size_t k) const {
+  CheckRows();
   std::vector<uint32_t> order(tuples_.size());
   std::iota(order.begin(), order.end(), 0u);
   Order(&order);
@@ -371,6 +481,7 @@ std::vector<AnswerTuple> AnswerSet::TopK(size_t k) const {
 }
 
 bool AnswerSet::ApproxEquals(const AnswerSet& other, double eps) const {
+  CheckRows();
   if (std::fabs(null_probability_ - other.null_probability_) > eps) {
     return false;
   }
@@ -390,6 +501,7 @@ bool AnswerSet::ApproxEquals(const AnswerSet& other, double eps) const {
 }
 
 std::string AnswerSet::ToString(size_t max_rows) const {
+  CheckRows();
   std::string out = "(" + Join(column_names_, ", ") + ") [" +
                     std::to_string(tuples_.size()) + " tuples, P(θ)=" +
                     std::to_string(null_probability_) + "]\n";

@@ -63,11 +63,24 @@ class AnswerSet {
   /// tuples append in first-occurrence order. Each picked cell of the
   /// cover is coded once per call and a row is found by its codes, so a
   /// row is built, from the cover's cells, only when it starts a new
-  /// tuple. An empty cover is the θ outcome.
+  /// tuple (and not even then when rows are deferred). An empty cover is
+  /// the θ outcome. With `touched`, appends the position of every tuple
+  /// the call added `prob` to, new ones included, each once.
   void AddCover(const algebra::DistinctCover& cover,
-                const std::vector<int>& columns, double prob);
+                const std::vector<int>& columns, double prob,
+                std::vector<uint32_t>* touched = nullptr);
   /// As above, reading every column of the cover in its own order.
-  void AddCover(const algebra::DistinctCover& cover, double prob);
+  void AddCover(const algebra::DistinctCover& cover, double prob,
+                std::vector<uint32_t>* touched = nullptr);
+
+  /// Defers rows, for a set that returns few of its tuples (the top-k and
+  /// threshold sinks): AddCover then keeps each cover that adds a tuple
+  /// (a copy shares its factors) and records a new tuple's cover and row
+  /// ordinal instead of building its row, and BuildRow builds the row
+  /// from the cells AddCover would have copied. Every other reader of
+  /// rows (tuples, Sorted, TopK, ToString, ApproxEquals, ApproxBytes,
+  /// TakeTuples) and Add fail on such a set. Call on an empty set.
+  void DeferRows();
 
   /// Accumulates onto the θ (empty result) outcome.
   void AddNull(double prob) { null_probability_ += prob; }
@@ -79,7 +92,16 @@ class AnswerSet {
   /// Tuples in first-insertion (accumulation) order — the deterministic
   /// raw view the sharded-evaluation merge replays, reweighting each
   /// shard's tuples by its probability mass in shard order.
-  const std::vector<AnswerTuple>& tuples() const { return tuples_; }
+  const std::vector<AnswerTuple>& tuples() const;
+
+  /// The probability of the tuple at `pos` (an index into tuples()).
+  double probability(size_t pos) const { return tuples_[pos].probability; }
+  /// The row of the tuple at `pos`: built from its cover when rows are
+  /// deferred, else a copy.
+  relational::Row BuildRow(size_t pos) const;
+  /// Moves the tuples out, in first-insertion order, and leaves the set
+  /// empty.
+  std::vector<AnswerTuple> TakeTuples() &&;
 
   /// Sum over tuples plus θ; ~1 for a complete evaluation.
   double TotalProbability() const;
@@ -91,7 +113,9 @@ class AnswerSet {
   /// permutation that sort gives over copied tuples compared the same
   /// way, NaN cells included (a NaN is equivalent to every number, above
   /// NULL and below strings, as under Value::operator<). Rows are
-  /// compared through per-column ranks of their codes.
+  /// compared through per-column ranks of their codes; a full order
+  /// first compares the ranks of the leading NaN-free columns, packed
+  /// into one 64-bit key per tuple.
   void Order(std::vector<uint32_t>* positions,
              std::optional<size_t> k = std::nullopt) const;
 
@@ -169,9 +193,11 @@ class AnswerSet {
   /// Accumulates onto the tuple equal to `row`, or inserts it.
   template <typename RowRef>
   void Accumulate(RowRef&& row, double prob);
+  /// Fails when rows are deferred: only BuildRow reads them then.
+  void CheckRows() const;
 
   std::vector<std::string> column_names_;
-  std::vector<AnswerTuple> tuples_;
+  std::vector<AnswerTuple> tuples_;  ///< rows left empty when deferred
   /// Per tuple, width() + 1 entries: the partition stamp (the last
   /// AddCover call that counted it), then its code tuple.
   std::vector<uint32_t> entries_;
@@ -182,6 +208,21 @@ class AnswerSet {
   std::vector<uint32_t> slots_;
   uint32_t stamp_ = 0;  ///< AddCover calls so far, modulo the wrap
   double null_probability_ = 0.0;
+
+  /// A cover that added tuples to a set with deferred rows, and the
+  /// answer layout it was read with.
+  struct KeptCover {
+    algebra::DistinctCover cover;
+    std::vector<int> columns;
+  };
+  /// Where a deferred tuple's row is: row `ordinal` of kept_[cover].
+  struct RowSource {
+    uint32_t cover;
+    size_t ordinal;
+  };
+  bool defer_rows_ = false;
+  std::vector<KeptCover> kept_;
+  std::vector<RowSource> sources_;  ///< per tuple, when rows are deferred
 };
 
 }  // namespace reformulation

@@ -11,16 +11,30 @@ using baselines::WeightedMapping;
 
 namespace {
 
-/// Lower bounds (the mass seen so far, accumulated in an AnswerSet),
-/// the unexplored mass, and the confirm / prune stopping rule.
+/// Lower bounds (the mass seen so far, accumulated in an AnswerSet with
+/// deferred rows), the unexplored mass, and the confirm / prune stopping
+/// rule.
 class ThresholdSink : public osharing::LeafVisitor {
  public:
   ThresholdSink(double threshold, double total_mass)
-      : threshold_(threshold), remaining_(total_mass) {}
+      : threshold_(threshold), remaining_(total_mass) {
+    seen_.DeferRows();
+  }
 
   bool OnLeaf(const algebra::DistinctCover& cover,
               double probability) override {
-    seen_.AddCover(cover, probability);
+    // Queue the tuples the leaf touched that are not queued yet.
+    const size_t from = pending_.size();
+    seen_.AddCover(cover, probability, &pending_);
+    queued_.resize(seen_.size(), 0);
+    size_t end = from;
+    for (size_t i = from; i < pending_.size(); ++i) {
+      const uint32_t pos = pending_[i];
+      if (queued_[pos]) continue;
+      queued_[pos] = 1;
+      pending_[end++] = pos;
+    }
+    pending_.resize(end);
     remaining_ -= probability;
     if (remaining_ < 0.0) remaining_ = 0.0;
     if (CanStop()) {
@@ -35,35 +49,44 @@ class ThresholdSink : public osharing::LeafVisitor {
     if (remaining_ < 0.0) remaining_ = 0.0;
   }
 
-  bool CanStop() const {
+  bool CanStop() {
     // New tuples could still qualify.
     if (remaining_ + kEps >= threshold_) return false;
     // Seen tuples that are neither confirmed nor pruned keep us going.
-    for (const auto& e : seen_.tuples()) {
-      bool confirmed = e.probability + kEps >= threshold_;
-      bool pruned = e.probability + remaining_ + kEps < threshold_;
-      if (!confirmed && !pruned) return false;
+    // Only the queued ones can be: a tuple decided at an earlier check
+    // and untouched since stays confirmed, and stays pruned because
+    // remaining_ only falls.
+    size_t undecided = 0;
+    for (uint32_t pos : pending_) {
+      const double lower = seen_.probability(pos);
+      bool confirmed = lower + kEps >= threshold_;
+      bool pruned = lower + remaining_ + kEps < threshold_;
+      if (confirmed || pruned) {
+        queued_[pos] = 0;
+      } else {
+        pending_[undecided++] = pos;
+      }
     }
-    return true;
+    pending_.resize(undecided);
+    return undecided == 0;
   }
 
   bool stopped_early() const { return stopped_early_; }
 
   /// The qualifying tuples in presentation order; only their rows are
-  /// copied.
+  /// built.
   std::vector<ThresholdEntry> Extract() const {
-    const std::vector<reformulation::AnswerTuple>& entries = seen_.tuples();
     std::vector<uint32_t> order;
-    for (uint32_t pos = 0; pos < entries.size(); ++pos) {
-      if (entries[pos].probability + kEps >= threshold_) order.push_back(pos);
+    for (uint32_t pos = 0; pos < seen_.size(); ++pos) {
+      if (seen_.probability(pos) + kEps >= threshold_) order.push_back(pos);
     }
     seen_.Order(&order);
     std::vector<ThresholdEntry> out;
     out.reserve(order.size());
     for (uint32_t pos : order) {
-      const reformulation::AnswerTuple& e = entries[pos];
-      out.push_back(ThresholdEntry{e.values, e.probability,
-                                   e.probability + remaining_});
+      const double lower = seen_.probability(pos);
+      out.push_back(
+          ThresholdEntry{seen_.BuildRow(pos), lower, lower + remaining_});
     }
     return out;
   }
@@ -75,6 +98,9 @@ class ThresholdSink : public osharing::LeafVisitor {
   double remaining_;
   bool stopped_early_ = false;
   reformulation::AnswerSet seen_;  ///< probability = lower bound
+  /// Tuples undecided at the last check or touched since, each once.
+  std::vector<uint32_t> pending_;
+  std::vector<uint8_t> queued_;  ///< per position: in pending_
 };
 
 }  // namespace
@@ -84,7 +110,7 @@ Result<ThresholdResult> RunThreshold(
     const std::vector<mapping::Mapping>& mappings,
     const relational::Catalog& catalog, double threshold,
     const osharing::OSharingOptions& options) {
-  if (threshold <= 0.0 || threshold > 1.0) {
+  if (!(threshold > 0.0 && threshold <= 1.0)) {
     return Status::InvalidArgument("threshold must be in (0, 1]");
   }
   Timer timer;

@@ -11,20 +11,22 @@ namespace urm {
 namespace topk {
 
 using baselines::WeightedMapping;
-using reformulation::AnswerTuple;
 
 namespace {
 
 /// Implements decide_result: maintains tuple lower bounds (the mass
-/// seen so far, accumulated in an AnswerSet), the unexplored mass, and
-/// the stopping rule.
+/// seen so far, accumulated in an AnswerSet with deferred rows), the
+/// unexplored mass, and the stopping rule.
 class TopKSink : public osharing::LeafVisitor {
  public:
-  TopKSink(size_t k, double total_mass) : k_(k), remaining_(total_mass) {}
+  TopKSink(size_t k, double total_mass) : k_(k), remaining_(total_mass) {
+    seen_.DeferRows();
+  }
 
   bool OnLeaf(const algebra::DistinctCover& cover,
               double probability) override {
-    seen_.AddCover(cover, probability);
+    touched_.clear();
+    seen_.AddCover(cover, probability, &touched_);
     remaining_ -= probability;
     if (remaining_ < 0.0) remaining_ = 0.0;
     if (CanStop()) {
@@ -43,45 +45,45 @@ class TopKSink : public osharing::LeafVisitor {
     if (remaining_ < 0.0) remaining_ = 0.0;
   }
 
-  bool CanStop() const {
-    const std::vector<AnswerTuple>& entries = seen_.tuples();
-    if (entries.size() < k_) {
+  bool CanStop() {
+    const size_t n = seen_.size();
+    if (n < k_) {
       // With fewer candidates than k every unseen tuple would belong to
       // the answer, so only an exhausted u-trace lets us stop.
       return remaining_ <= kEps;
     }
-    // Select the k-th and (k+1)-th largest lower bounds in O(n).
-    std::vector<double> lbs;
-    lbs.reserve(entries.size());
-    for (const auto& e : entries) lbs.push_back(e.probability);
-    std::nth_element(lbs.begin(), lbs.begin() + static_cast<long>(k_ - 1),
-                     lbs.end(), std::greater<double>());
-    double kth = lbs[k_ - 1];
+    UpdateLargest();
+    // The k-th and (k+1)-th largest lower bounds: the heap's smallest
+    // two of k + 1, or its smallest of k.
+    const auto bound = [this](size_t i) {
+      return seen_.probability(largest_[i]);
+    };
+    double kth = bound(0);
+    double next = 0.0;
+    if (n > k_) {
+      next = kth;
+      kth = largest_.size() > 2 ? std::min(bound(1), bound(2)) : bound(1);
+    }
     // 1) no unseen tuple can beat the k-th selected lower bound;
     if (remaining_ > kth + kEps) return false;
     // 2) no tuple outside the selected k (including ties with the k-th)
     //    can end above the k-th selected tuple's guaranteed mass.
-    if (entries.size() > k_) {
-      double next = *std::max_element(lbs.begin() + static_cast<long>(k_),
-                                      lbs.end());
-      if (next + remaining_ > kth + kEps) return false;
-    }
+    if (n > k_ && next + remaining_ > kth + kEps) return false;
     return true;
   }
 
   std::vector<TopKEntry> Extract() const {
-    // Only k rows are copied; candidates are ordered by position.
-    const std::vector<AnswerTuple>& entries = seen_.tuples();
-    std::vector<uint32_t> order(entries.size());
+    // Candidates are ordered by position; only k rows are built.
+    std::vector<uint32_t> order(seen_.size());
     std::iota(order.begin(), order.end(), 0u);
     seen_.Order(&order, k_);
     const size_t take = std::min(k_, order.size());
     std::vector<TopKEntry> out;
     out.reserve(take);
     for (size_t i = 0; i < take; ++i) {
-      const AnswerTuple& e = entries[order[i]];
+      const double lower = seen_.probability(order[i]);
       out.push_back(
-          TopKEntry{e.values, e.probability, e.probability + remaining_});
+          TopKEntry{seen_.BuildRow(order[i]), lower, lower + remaining_});
     }
     return out;
   }
@@ -89,10 +91,47 @@ class TopKSink : public osharing::LeafVisitor {
  private:
   static constexpr double kEps = 1e-12;
 
+  /// Makes largest_ hold k + 1 tuples (or all, when fewer) with the
+  /// largest lower bounds. Bounds only grow, so a tuple outside it
+  /// can join only when the leaf touched it; the first call, when k
+  /// tuples are first seen, considers them all.
+  void UpdateLargest() {
+    // A min-heap on lower bounds; members' bounds may have grown.
+    const auto above = [this](uint32_t a, uint32_t b) {
+      return seen_.probability(a) > seen_.probability(b);
+    };
+    std::make_heap(largest_.begin(), largest_.end(), above);
+    in_largest_.resize(seen_.size(), 0);
+    const auto consider = [&](uint32_t pos) {
+      if (in_largest_[pos]) return;
+      if (largest_.size() > k_) {
+        if (!(seen_.probability(pos) > seen_.probability(largest_[0]))) {
+          return;
+        }
+        std::pop_heap(largest_.begin(), largest_.end(), above);
+        in_largest_[largest_.back()] = 0;
+        largest_.pop_back();
+      }
+      in_largest_[pos] = 1;
+      largest_.push_back(pos);
+      std::push_heap(largest_.begin(), largest_.end(), above);
+    };
+    if (!largest_.empty()) {
+      for (uint32_t pos : touched_) consider(pos);
+      return;
+    }
+    for (uint32_t pos = 0; pos < seen_.size(); ++pos) consider(pos);
+  }
+
   size_t k_;
   double remaining_;
   bool stopped_early_ = false;
   reformulation::AnswerSet seen_;  ///< probability = lower bound
+  std::vector<uint32_t> touched_;  ///< positions the last leaf added to
+  /// Positions of the k + 1 largest lower bounds, as a min-heap; filled
+  /// at the first leaf after which k tuples have been seen.
+  std::vector<uint32_t> largest_;
+  std::vector<uint8_t> in_largest_;  ///< per position: in largest_
 };
 
 }  // namespace

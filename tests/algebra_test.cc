@@ -7,6 +7,7 @@
 #include "algebra/optimize.h"
 #include "algebra/plan.h"
 #include "common/logging.h"
+#include "common/random.h"
 #include "relational/catalog.h"
 
 namespace urm {
@@ -355,6 +356,71 @@ TEST(EvaluateTest, DistinctProjectSplitsAcrossProduct) {
   three.ValueOrDie().AppendRows(&three_rows);
   EXPECT_EQ(three_rows, expected.rows());
   EXPECT_FALSE(DistinctCover::Make(factors, {"t1.nope"}).ok());
+}
+
+/// RowAt(n) reads the row AppendRows puts n-th, on random covers of two
+/// to four factors with columns projected out of factor order, where
+/// some factors hold no projected column (no share) and some hold one
+/// distinct row (a single pick).
+TEST(DistinctCoverTest, RowAtMatchesAppendRows) {
+  size_t no_share = 0, single_pick = 0;
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    Rng rng(seed);
+    std::vector<relational::RelationPtr> factors;
+    std::vector<std::string> columns;
+    const int64_t num_factors = rng.Uniform(2, 4);
+    for (int64_t f = 0; f < num_factors; ++f) {
+      const std::string alias = "f" + std::to_string(f);
+      const int64_t width = rng.Uniform(1, 3);
+      RelationSchema schema;
+      for (int64_t c = 0; c < width; ++c) {
+        ASSERT_TRUE(schema
+                        .AddColumn({alias + ".c" + std::to_string(c),
+                                    ValueType::kInt64})
+                        .ok());
+      }
+      const bool single = rng.Bernoulli(0.25);
+      Relation rel(schema);
+      for (int64_t r = rng.Uniform(1, 6); r > 0; --r) {
+        relational::Row row;
+        for (int64_t c = 0; c < width; ++c) {
+          row.emplace_back(single ? int64_t{7} : rng.Uniform(0, 2));
+        }
+        ASSERT_TRUE(rel.AddRow(std::move(row)).ok());
+      }
+      factors.push_back(std::make_shared<const Relation>(std::move(rel)));
+      // Factor 0 always has a share, so the cover has a column.
+      if (f > 0 && rng.Bernoulli(0.3)) {
+        ++no_share;
+        continue;
+      }
+      single_pick += single;
+      for (int64_t c = 0; c < width; ++c) {
+        if (c == 0 || rng.Bernoulli(0.6)) {
+          columns.push_back(alias + ".c" + std::to_string(c));
+        }
+      }
+    }
+    for (size_t i = columns.size(); i > 1; --i) {
+      std::swap(columns[i - 1],
+                columns[static_cast<size_t>(rng.Uniform(0, i - 1))]);
+    }
+    auto made = DistinctCover::Make(factors, columns);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    const DistinctCover& cover = made.ValueOrDie();
+    std::vector<relational::Row> rows;
+    cover.AppendRows(&rows);
+    ASSERT_EQ(rows.size(), cover.num_rows());
+    for (size_t n = 0; n < rows.size(); ++n) {
+      const DistinctCover::Cursor row = cover.RowAt(n);
+      for (size_t c = 0; c < columns.size(); ++c) {
+        EXPECT_EQ(row.cell(c), rows[n][c])
+            << "seed " << seed << " row " << n << " column " << c;
+      }
+    }
+  }
+  EXPECT_GT(no_share, 0u);
+  EXPECT_GT(single_pick, 0u);
 }
 
 TEST(EvaluateTest, DistinctProjectEmptySideYieldsNothing) {

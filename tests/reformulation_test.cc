@@ -264,6 +264,10 @@ algebra::DistinctCover OneFactorCover(const std::vector<relational::Row>& rows,
   return OneFactorCover(rows, arity, arity);
 }
 
+bool IsNaNValue(const relational::Value& v) {
+  return v.type() == relational::ValueType::kDouble && std::isnan(v.AsDouble());
+}
+
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
@@ -366,6 +370,77 @@ TEST(AnswerSetTest, IntAndDoubleMergeNaNNever) {
   // ApproxEquals: a NaN row has no partner, not even in a copy.
   AnswerSet copy = with_nan;
   EXPECT_FALSE(with_nan.ApproxEquals(copy));
+}
+
+/// With deferred rows (the top-k and threshold sinks' set), a tuple's
+/// row is built from the cover row that first produced it: INT64 `2`
+/// then DOUBLE `2.0`, and DOUBLE `-0.0` then INT64 `0` and DOUBLE
+/// `0.0`, keep the first, NaN rows never merge, and every row, bound
+/// and touched position is what a set building its rows as it goes
+/// gives.
+TEST(AnswerSetTest, DeferredRowsKeepTheFirstMember) {
+  using relational::Value;
+  using relational::ValueType;
+  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  const std::vector<std::vector<relational::Row>> leaves = {
+      {{Value(int64_t{2}), Value(-0.0)}, {nan, Value("a")}},
+      {{Value(2.0), Value(int64_t{0})}, {nan, Value("a")}, {"b", Value(0.0)}},
+      {{Value(2.0), Value(0.0)}, {"b", Value(-0.0)}},
+  };
+  AnswerSet deferred({"x", "y"}), eager({"x", "y"});
+  deferred.DeferRows();
+  std::vector<std::vector<uint32_t>> touched;
+  double p = 0.125;
+  for (const auto& rows : leaves) {
+    touched.emplace_back();
+    deferred.AddCover(OneFactorCover(rows, 2), p, &touched.back());
+    eager.AddCover(OneFactorCover(rows, 2), p);
+    p *= 2.0;
+  }
+  ASSERT_EQ(deferred.size(), 4u);  // (2, -0.0), two (NaN, a), (b, 0.0)
+  ASSERT_EQ(eager.size(), 4u);
+  EXPECT_EQ(touched, (std::vector<std::vector<uint32_t>>{
+                         {0, 1}, {0, 2, 3}, {0, 3}}));
+  for (size_t pos = 0; pos < eager.size(); ++pos) {
+    const relational::Row row = deferred.BuildRow(pos);
+    const relational::Row& expected = eager.tuples()[pos].values;
+    ASSERT_EQ(row.size(), expected.size());
+    for (size_t c = 0; c < row.size(); ++c) {
+      EXPECT_EQ(row[c].type(), expected[c].type()) << pos << " " << c;
+      EXPECT_EQ(row[c].ToString(), expected[c].ToString()) << pos;
+    }
+    EXPECT_TRUE(SameBits(deferred.probability(pos),
+                         eager.tuples()[pos].probability));
+  }
+  const relational::Row first = deferred.BuildRow(0);
+  EXPECT_EQ(first[0].type(), ValueType::kInt64);
+  EXPECT_EQ(first[1].type(), ValueType::kDouble);
+  EXPECT_TRUE(std::signbit(first[1].AsDouble()));
+  EXPECT_TRUE(std::isnan(deferred.BuildRow(1)[0].AsDouble()));
+  EXPECT_TRUE(std::isnan(deferred.BuildRow(2)[0].AsDouble()));
+  EXPECT_FALSE(std::signbit(deferred.BuildRow(3)[1].AsDouble()));
+  EXPECT_EQ(deferred.probability(0), 0.875);
+}
+
+/// Only BuildRow reads a deferred set's rows; every other row reader,
+/// Add, and deferring a set that holds tuples, fail loudly.
+TEST(AnswerSetDeathTest, DeferredRowsFailEveryOtherReader) {
+  using relational::Value;
+  AnswerSet deferred({"x"});
+  deferred.DeferRows();
+  deferred.AddCover(OneFactorCover({{"a"}, {"b"}}, 1), 0.5);
+  EXPECT_EQ(deferred.BuildRow(1)[0].ToString(), "b");
+  EXPECT_DEATH(deferred.tuples(), "deferred");
+  EXPECT_DEATH(deferred.Sorted(), "deferred");
+  EXPECT_DEATH(deferred.TopK(1), "deferred");
+  EXPECT_DEATH(deferred.ToString(), "deferred");
+  EXPECT_DEATH(deferred.ApproxBytes(), "deferred");
+  EXPECT_DEATH(deferred.ApproxEquals(deferred), "deferred");
+  EXPECT_DEATH(AnswerSet(deferred).TakeTuples(), "deferred");
+  EXPECT_DEATH(deferred.Add({Value("c")}, 0.25), "deferred");
+  AnswerSet filled({"x"});
+  filled.Add({Value("a")}, 0.5);
+  EXPECT_DEATH(filled.DeferRows(), "empty");
 }
 
 TEST(AnswerSetTest, ApproxEqualsIgnoresOrderButNotMass) {
@@ -767,7 +842,11 @@ bool RowOrderLess(const AnswerTuple& a, const AnswerTuple& b) {
 /// of copied tuples under RowOrderLess gives — over rows of 1-3 columns
 /// mixing ints, `2` and `2.0`, doubles, -0.0, strings and NULL, with
 /// probabilities drawn from three values so rows decide most ties, and
-/// with and without NaN.
+/// with and without NaN. Seeds past 200 build wide rows (6-12 columns,
+/// some cut short) whose leading columns hold hundreds of classes, so
+/// their ranks overflow Order's 64-bit packed prefix, while rows sharing
+/// one of four prefixes leave the ties to the columns past it; in NaN
+/// sets, NaN is confined to one column whose position varies.
 TEST(AnswerSetTest, OrderMatchesRowLessReference) {
   using relational::Row;
   using relational::Value;
@@ -782,9 +861,10 @@ TEST(AnswerSetTest, OrderMatchesRowLessReference) {
     }
     return SameBits(a.probability, b.probability);
   };
-  for (uint64_t seed = 1; seed <= 200; ++seed) {
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
     Rng rng(seed);
     const bool with_nan = seed % 2 == 0;
+    const bool wide = seed > 200;
     auto value = [&]() -> Value {
       switch (rng.Uniform(0, 7)) {
         case 0:
@@ -808,8 +888,40 @@ TEST(AnswerSetTest, OrderMatchesRowLessReference) {
     // equivalent to every number), so NaN sets stay at 16 tuples, where
     // libstdc++ sorts by guarded insertion alone.
     const int64_t max_tuples = with_nan ? 16 : 400;
-    const size_t arity = static_cast<size_t>(rng.Uniform(1, 3));
+    const size_t arity = static_cast<size_t>(wide ? rng.Uniform(6, 12)
+                                                  : rng.Uniform(1, 3));
     const bool mixed_widths = rng.Bernoulli(0.2);
+    // Wide rows: every column but the last two comes from a row-wide
+    // prefix, fresh or one of four shared ones; NaN only at nan_column.
+    size_t nan_column = 0;
+    std::vector<Row> prefixes(wide ? 4 : 0);
+    if (wide) {
+      nan_column = static_cast<size_t>(rng.Uniform(0, arity - 1));
+      for (Row& shared : prefixes) {
+        for (size_t c = 0; c + 2 < arity; ++c) {
+          shared.emplace_back(rng.Uniform(0, 999999));
+        }
+      }
+    }
+    auto wide_row = [&]() {
+      Row row = prefixes[static_cast<size_t>(rng.Uniform(0, 3))];
+      if (rng.Bernoulli(0.5)) {
+        for (Value& v : row) v = Value(rng.Uniform(0, 999999));
+      }
+      row.push_back(value());
+      row.push_back(value());
+      for (size_t c = 0; c < arity; ++c) {
+        if (c == nan_column && with_nan && rng.Bernoulli(0.3)) {
+          row[c] = nan;
+        } else if (c != nan_column && IsNaNValue(row[c])) {
+          row[c] = Value(-1.5);
+        }
+      }
+      if (mixed_widths && rng.Bernoulli(0.5)) {
+        row.resize(static_cast<size_t>(rng.Uniform(1, arity)));
+      }
+      return row;
+    };
     AnswerSet answers({"x"});
     for (int round = 0; round < 20 &&
                         static_cast<int64_t>(answers.size()) < max_tuples;
@@ -818,6 +930,10 @@ TEST(AnswerSetTest, OrderMatchesRowLessReference) {
       std::vector<Row> rows;
       const int64_t n = rng.Uniform(1, max_tuples / 4 + 1);
       for (int64_t i = 0; i < n; ++i) {
+        if (wide) {
+          rows.push_back(wide_row());
+          continue;
+        }
         const size_t width =
             mixed_widths ? static_cast<size_t>(rng.Uniform(1, 3)) : arity;
         Row row;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <map>
 #include <memory>
 #include <vector>
@@ -177,6 +178,10 @@ TEST(RequestDispatchTest, ValidationCatchesMalformedRequests) {
                    Request::Threshold(QueryById("Q1").query, 0.0)).ok());
   EXPECT_FALSE(ValidateRequest(
                    Request::Threshold(QueryById("Q1").query, 1.5)).ok());
+  EXPECT_FALSE(ValidateRequest(
+                   Request::Threshold(QueryById("Q1").query,
+                                      std::numeric_limits<double>::quiet_NaN()))
+                   .ok());
 }
 
 TEST(RequestFingerprintTest, DistinguishesKindsAndParameters) {

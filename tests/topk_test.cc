@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "algebra/plan.h"
 #include "baselines/baselines.h"
+#include "core/workload.h"
 #include "reformulation/reformulator.h"
 #include "tests/paper_fixture.h"
+#include "tests/stopping_oracle.h"
 #include "topk/topk.h"
 
 namespace urm {
@@ -183,6 +188,148 @@ TEST_F(TopKTest, PinnedTraversalAndBounds) {
       EXPECT_EQ(r.tuples[i].upper_bound, c.tuples[i].upper);
     }
   }
+}
+
+/// The top-k stopping rule as first written, over an AnswerSet that
+/// builds every row: after each leaf every lower bound is copied and the
+/// k-th and (k + 1)-th largest are selected with nth_element; the answer
+/// is the first k of a std::partial_sort of the copied tuples by
+/// (lower bound descending, RowLess).
+class CopyAndSelectTopK : public osharing::LeafVisitor {
+ public:
+  CopyAndSelectTopK(size_t k, const urm::testing::UTrace& trace)
+      : k_(k), remaining_(trace.total) {
+    remaining_ -= trace.unanswerable;
+    if (remaining_ < 0.0) remaining_ = 0.0;
+  }
+
+  bool OnLeaf(const algebra::DistinctCover& cover,
+              double probability) override {
+    seen_.AddCover(cover, probability);
+    remaining_ -= probability;
+    if (remaining_ < 0.0) remaining_ = 0.0;
+    if (CanStop()) {
+      stopped_early_ = true;
+      return false;
+    }
+    return true;
+  }
+
+  bool stopped_early() const { return stopped_early_; }
+
+  std::vector<TopKEntry> Extract() const {
+    std::vector<reformulation::AnswerTuple> tuples = seen_.tuples();
+    const auto take =
+        static_cast<std::ptrdiff_t>(std::min(k_, tuples.size()));
+    std::partial_sort(tuples.begin(), tuples.begin() + take, tuples.end(),
+                      [](const reformulation::AnswerTuple& a,
+                         const reformulation::AnswerTuple& b) {
+                        if (a.probability != b.probability) {
+                          return a.probability > b.probability;
+                        }
+                        return relational::RowLess(a.values, b.values);
+                      });
+    std::vector<TopKEntry> out;
+    for (std::ptrdiff_t i = 0; i < take; ++i) {
+      const reformulation::AnswerTuple& t = tuples[static_cast<size_t>(i)];
+      out.push_back(
+          TopKEntry{t.values, t.probability, t.probability + remaining_});
+    }
+    return out;
+  }
+
+ private:
+  static constexpr double kEps = 1e-12;
+
+  bool CanStop() const {
+    const std::vector<reformulation::AnswerTuple>& entries = seen_.tuples();
+    if (entries.size() < k_) return remaining_ <= kEps;
+    std::vector<double> lbs;
+    for (const auto& e : entries) lbs.push_back(e.probability);
+    std::nth_element(lbs.begin(), lbs.begin() + static_cast<long>(k_ - 1),
+                     lbs.end(), std::greater<double>());
+    const double kth = lbs[k_ - 1];
+    if (remaining_ > kth + kEps) return false;
+    if (entries.size() > k_) {
+      const double next = *std::max_element(
+          lbs.begin() + static_cast<long>(k_), lbs.end());
+      if (next + remaining_ > kth + kEps) return false;
+    }
+    return true;
+  }
+
+  size_t k_;
+  double remaining_;
+  bool stopped_early_ = false;
+  reformulation::AnswerSet seen_;
+};
+
+/// RunTopK against CopyAndSelectTopK on `mappings`' u-trace for k = 1, 2,
+/// 5 and 50: the same leaf to stop at, the same early_terminated, rows
+/// and bound bits. Counts the runs and those that stopped before the
+/// last leaf.
+void ExpectSameAsCopyAndSelect(const reformulation::TargetQueryInfo& info,
+                               const std::vector<mapping::Mapping>& mappings,
+                               const relational::Catalog& catalog,
+                               size_t* runs, size_t* cut_short) {
+  const urm::testing::UTrace trace = urm::testing::BuildUTrace(info, mappings);
+  CopyAndSelectTopK all(SIZE_MAX, trace);
+  const size_t total_leaves =
+      urm::testing::Traverse(info, catalog, trace, &all);
+  for (size_t k : {1, 2, 5, 50}) {
+    SCOPED_TRACE("k " + std::to_string(k));
+    CopyAndSelectTopK oracle(k, trace);
+    const size_t leaves = urm::testing::Traverse(info, catalog, trace, &oracle);
+    const std::vector<TopKEntry> expected = oracle.Extract();
+    auto result = RunTopK(info, mappings, catalog, k);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const TopKResult& r = result.ValueOrDie();
+    EXPECT_EQ(r.leaves_visited, leaves);
+    EXPECT_EQ(r.early_terminated, oracle.stopped_early());
+    ASSERT_EQ(r.tuples.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_TRUE(
+          urm::testing::SameRow(r.tuples[i].values, expected[i].values))
+          << "position " << i;
+      EXPECT_TRUE(urm::testing::SameBits(r.tuples[i].lower_bound,
+                                         expected[i].lower_bound));
+      EXPECT_TRUE(urm::testing::SameBits(r.tuples[i].upper_bound,
+                                         expected[i].upper_bound));
+    }
+    ++*runs;
+    *cut_short += leaves < total_leaves;
+  }
+}
+
+/// RunTopK stops where the rule as first written stops, over seeded
+/// mapping sets with tied probabilities: the Table III queries on
+/// subsets of the paper schemas' mappings, and random instances.
+TEST(TopKOracleTest, StopsWhereCopyAndSelectStops) {
+  size_t runs = 0, cut_short = 0;
+  for (const core::WorkloadQuery& wq : core::PaperWorkload()) {
+    const core::Engine& engine = urm::testing::OracleEngine(wq.schema);
+    auto info =
+        reformulation::AnalyzeTargetQuery(wq.query, engine.target_schema());
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(wq.id + " seed " + std::to_string(seed));
+      Rng rng(seed);
+      ExpectSameAsCopyAndSelect(
+          info.ValueOrDie(), urm::testing::TiedMappings(engine.mappings(), &rng),
+          engine.catalog(), &runs, &cut_short);
+    }
+  }
+  for (uint64_t seed = 1; seed <= 150; ++seed) {
+    SCOPED_TRACE("random seed " + std::to_string(seed));
+    Rng rng(seed);
+    const urm::testing::RandomExample ex = urm::testing::MakeRandomExample(&rng);
+    auto info = reformulation::AnalyzeTargetQuery(ex.query, ex.target_schema);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    ExpectSameAsCopyAndSelect(info.ValueOrDie(), ex.mappings, ex.catalog,
+                              &runs, &cut_short);
+  }
+  // The scans must not all run to the end, or stopping is not tested.
+  EXPECT_GT(cut_short, runs / 10) << "of " << runs;
 }
 
 }  // namespace
