@@ -169,11 +169,11 @@ TEST_F(ThresholdTest, PinnedTraversalAndBounds) {
   }
 }
 
-/// The threshold stopping rule as first written, over an AnswerSet that
-/// builds every row: after each leaf every seen tuple is checked for
-/// confirmed or pruned; the answer is a std::sort of the qualifying
-/// tuples' copies by (lower bound descending, RowLess). With
-/// `threshold` 0 it never stops and records the bounds it passes.
+/// A reference threshold sink, over an AnswerSet that builds every
+/// row: after each leaf every seen tuple is checked for confirmed or
+/// pruned; the answer is a std::sort of the qualifying tuples' copies
+/// by (lower bound descending, RowLess). With `threshold` 0 it never
+/// stops and records the bounds it passes.
 class FullScanThreshold : public osharing::LeafVisitor {
  public:
   FullScanThreshold(double threshold, const testing::UTrace& trace)
@@ -290,7 +290,7 @@ void ExpectSameAsFullScan(const reformulation::TargetQueryInfo& info,
   }
 }
 
-/// RunThreshold stops where the rule as first written stops, over seeded
+/// RunThreshold stops where the full-scan reference stops, over seeded
 /// mapping sets with tied probabilities: the Table III queries on
 /// subsets of the paper schemas' mappings, and random instances.
 TEST(ThresholdOracleTest, StopsWhereFullScanStops) {
@@ -300,7 +300,7 @@ TEST(ThresholdOracleTest, StopsWhereFullScanStops) {
     auto info =
         reformulation::AnalyzeTargetQuery(wq.query, engine.target_schema());
     ASSERT_TRUE(info.ok()) << info.status().ToString();
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
+    for (uint64_t seed = 1; seed <= 2; ++seed) {
       SCOPED_TRACE(wq.id + " seed " + std::to_string(seed));
       Rng rng(seed);
       ExpectSameAsFullScan(info.ValueOrDie(),
