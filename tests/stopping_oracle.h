@@ -84,12 +84,9 @@ struct RandomExample {
 inline RandomExample MakeRandomExample(Rng* rng) {
   RandomExample ex;
   relational::RelationSchema schema;
-  std::vector<std::string> columns;
   for (int c = 0; c < 6; ++c) {
-    columns.push_back("x" + std::to_string(c));
-    URM_CHECK_OK(schema.AddColumn(
-        relational::ColumnDef{"s." + columns.back(),
-                              relational::ValueType::kInt64}));
+    URM_CHECK_OK(schema.AddColumn(relational::ColumnDef{
+        "s.x" + std::to_string(c), relational::ValueType::kInt64}));
   }
   relational::Relation s(schema);
   for (int64_t r = rng->Uniform(10, 60); r > 0; --r) {
@@ -170,7 +167,7 @@ inline size_t Traverse(const reformulation::TargetQueryInfo& info,
 }
 
 /// Whether `a` and `b` hold the same values: types, texts and, for
-/// doubles, bits (so -0.0 differs from 0.0).
+/// doubles, signs (so -0.0 differs from 0.0).
 inline bool SameRow(const relational::Row& a, const relational::Row& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {

@@ -315,14 +315,16 @@ TEST(TopKOracleTest, StopsWhereCopyAndSelectStops) {
       SCOPED_TRACE(wq.id + " seed " + std::to_string(seed));
       Rng rng(seed);
       ExpectSameAsCopyAndSelect(
-          info.ValueOrDie(), urm::testing::TiedMappings(engine.mappings(), &rng),
+          info.ValueOrDie(),
+          urm::testing::TiedMappings(engine.mappings(), &rng),
           engine.catalog(), &runs, &cut_short);
     }
   }
   for (uint64_t seed = 1; seed <= 150; ++seed) {
     SCOPED_TRACE("random seed " + std::to_string(seed));
     Rng rng(seed);
-    const urm::testing::RandomExample ex = urm::testing::MakeRandomExample(&rng);
+    const urm::testing::RandomExample ex =
+        urm::testing::MakeRandomExample(&rng);
     auto info = reformulation::AnalyzeTargetQuery(ex.query, ex.target_schema);
     ASSERT_TRUE(info.ok()) << info.status().ToString();
     ExpectSameAsCopyAndSelect(info.ValueOrDie(), ex.mappings, ex.catalog,
