@@ -252,7 +252,7 @@ const std::vector<AnswerTuple>& AnswerSet::tuples() const {
 }
 
 Row AnswerSet::BuildRow(size_t pos) const {
-  if (!defer_rows_) return tuples_[pos].values;
+  URM_CHECK(defer_rows_) << "rows are built only when deferred";
   const RowSource& source = sources_[pos];
   const KeptCover& kept = kept_[source.cover];
   return CoverRow(kept.cover.RowAt(source.ordinal), kept.columns);

@@ -96,8 +96,8 @@ class AnswerSet {
 
   /// The probability of the tuple at `pos` (an index into tuples()).
   double probability(size_t pos) const { return tuples_[pos].probability; }
-  /// The row of the tuple at `pos`: built from its cover when rows are
-  /// deferred, else a copy.
+  /// The row of the tuple at `pos`, built from its cover; rows must be
+  /// deferred.
   relational::Row BuildRow(size_t pos) const;
   /// Moves the tuples out, in first-insertion order, and leaves the set
   /// empty.

@@ -23,18 +23,7 @@ class ThresholdSink : public osharing::LeafVisitor {
 
   bool OnLeaf(const algebra::DistinctCover& cover,
               double probability) override {
-    // Queue the tuples the leaf touched that are not queued yet.
-    const size_t from = pending_.size();
-    seen_.AddCover(cover, probability, &pending_);
-    queued_.resize(seen_.size(), 0);
-    size_t end = from;
-    for (size_t i = from; i < pending_.size(); ++i) {
-      const uint32_t pos = pending_[i];
-      if (queued_[pos]) continue;
-      queued_[pos] = 1;
-      pending_[end++] = pos;
-    }
-    pending_.resize(end);
+    seen_.AddCover(cover, probability);
     remaining_ -= probability;
     if (remaining_ < 0.0) remaining_ = 0.0;
     if (CanStop()) {
@@ -49,26 +38,17 @@ class ThresholdSink : public osharing::LeafVisitor {
     if (remaining_ < 0.0) remaining_ = 0.0;
   }
 
-  bool CanStop() {
+  bool CanStop() const {
     // New tuples could still qualify.
     if (remaining_ + kEps >= threshold_) return false;
     // Seen tuples that are neither confirmed nor pruned keep us going.
-    // Only the queued ones can be: a tuple decided at an earlier check
-    // and untouched since stays confirmed, and stays pruned because
-    // remaining_ only falls.
-    size_t undecided = 0;
-    for (uint32_t pos : pending_) {
+    for (uint32_t pos = 0; pos < seen_.size(); ++pos) {
       const double lower = seen_.probability(pos);
       bool confirmed = lower + kEps >= threshold_;
       bool pruned = lower + remaining_ + kEps < threshold_;
-      if (confirmed || pruned) {
-        queued_[pos] = 0;
-      } else {
-        pending_[undecided++] = pos;
-      }
+      if (!confirmed && !pruned) return false;
     }
-    pending_.resize(undecided);
-    return undecided == 0;
+    return true;
   }
 
   bool stopped_early() const { return stopped_early_; }
@@ -98,9 +78,6 @@ class ThresholdSink : public osharing::LeafVisitor {
   double remaining_;
   bool stopped_early_ = false;
   reformulation::AnswerSet seen_;  ///< probability = lower bound
-  /// Tuples undecided at the last check or touched since, each once.
-  std::vector<uint32_t> pending_;
-  std::vector<uint8_t> queued_;  ///< per position: in pending_
 };
 
 }  // namespace

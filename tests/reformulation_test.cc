@@ -423,7 +423,8 @@ TEST(AnswerSetTest, DeferredRowsKeepTheFirstMember) {
 }
 
 /// Only BuildRow reads a deferred set's rows; every other row reader,
-/// Add, and deferring a set that holds tuples, fail loudly.
+/// Add, BuildRow on a set that builds its rows, and deferring a set
+/// that holds tuples, fail loudly.
 TEST(AnswerSetDeathTest, DeferredRowsFailEveryOtherReader) {
   using relational::Value;
   AnswerSet deferred({"x"});
@@ -440,6 +441,7 @@ TEST(AnswerSetDeathTest, DeferredRowsFailEveryOtherReader) {
   EXPECT_DEATH(deferred.Add({Value("c")}, 0.25), "deferred");
   AnswerSet filled({"x"});
   filled.Add({Value("a")}, 0.5);
+  EXPECT_DEATH(filled.BuildRow(0), "deferred");
   EXPECT_DEATH(filled.DeferRows(), "empty");
 }
 
